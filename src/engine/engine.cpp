@@ -12,6 +12,7 @@
 #include "opt/cardinality.h"
 #include "opt/chooser.h"
 #include "opt/parallel.h"
+#include "rewrite/invariants.h"
 #include "xml/parser.h"
 #include "xquery/normalize.h"
 #include "xquery/parser.h"
@@ -106,6 +107,19 @@ CompiledQuery Engine::Compile(std::string_view query_text, PlanChoice choice,
       out.best = out.alternatives.front();
       break;
   }
+  // Invariant reuse (rewrite/invariants.h) marks what each plan's subscripts
+  // may compute once per run. It runs after the choice, which therefore
+  // prices every plan as before, and after Best, which must rewrite the
+  // unmarked plan. Plans shared between the slots stay shared.
+  std::map<const nal::AlgebraOp*, nal::AlgebraPtr> marked;
+  auto mark = [&marked](nal::AlgebraPtr& plan) {
+    auto [it, inserted] = marked.try_emplace(plan.get());
+    if (inserted) it->second = rewrite::ShareInvariantSubscripts(plan);
+    plan = it->second;
+  };
+  for (rewrite::Alternative& alt : out.alternatives) mark(alt.plan);
+  mark(out.nested_plan);
+  mark(out.best.plan);
   return out;
 }
 

@@ -160,7 +160,11 @@ class Engine {
   /// at construction.
   static std::string EnvStoreDir();
 
-  /// Full compilation pipeline. Throws on parse/translate errors.
+  /// Full compilation pipeline. Throws on parse/translate errors. After the
+  /// plan choice, every plan of the result is passed through
+  /// rewrite::ShareInvariantSubscripts, so the invariant parts of nested
+  /// subscripts are computed once per run (src/nal/README.md, "Invariant
+  /// reuse"); the choice itself sees the unmarked plans.
   ///
   /// Estimation reads the store's index and statistics, so Compile counts
   /// as a reader under the single-writer contract (xml/store.h): do not
@@ -188,12 +192,13 @@ class Engine {
   /// any budget (EvalStats::spill reports the spilling itself). 0 means
   /// unlimited unless the NALQ_MEMORY_BUDGET_BYTES environment variable
   /// supplies a default. The budget applies to the streaming and parallel
-  /// executors; the materializing evaluator (a differential reference)
-  /// ignores it, as do the RAM-resident exceptions documented in
-  /// src/nal/README.md (CSE caches, XiGroup group construction, and ΠD's
-  /// distinct-key set). Under kParallel one shared accountant bounds the
-  /// consumer and all workers, and the worker count is clamped so
-  /// uncharged per-worker state cannot over-commit it (nal/exchange.h).
+  /// executors, including the run's CSE table; the materializing evaluator
+  /// (a differential reference) ignores it, as do the RAM-resident
+  /// exceptions documented in src/nal/README.md (XiGroup group
+  /// construction and ΠD's distinct-key set). Under kParallel one shared
+  /// accountant bounds the consumer and all workers, and the worker count
+  /// is clamped so uncharged per-worker state cannot over-commit it
+  /// (nal/exchange.h).
   ///
   /// Lifecycle knobs (src/nal/README.md, "Query lifecycle & failure
   /// semantics"): `deadline_ms` bounds the run on the monotonic clock — on

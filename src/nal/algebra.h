@@ -104,9 +104,10 @@ struct AlgebraOp {
   XiProgram s1, s2, s3;  ///< simple Ξ uses s1 only
 
   /// Common-subexpression id: operators sharing a non-negative cse_id are
-  /// evaluated once per top-level Eval() (the "save scanning the same
-  /// document twice" effect of Eqv. 8/9, Sec. 4). Only valid on
-  /// env-independent subtrees.
+  /// evaluated once per run into the run's CseTable (nal/spool.h) — the
+  /// "save scanning the same document twice" effect of Eqv. 8/9, Sec. 4,
+  /// and the invariant reuse of rewrite/invariants.h. Only valid on
+  /// env-independent, Ξ-free subtrees.
   int cse_id = -1;
 
   AlgebraPtr Clone() const;

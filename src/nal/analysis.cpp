@@ -229,4 +229,30 @@ SymbolSet FreeVars(const AlgebraOp& op) {
   return free;
 }
 
+bool ContainsXiExpr(const Expr& e) {
+  if (e.alg != nullptr && ContainsXi(*e.alg)) return true;
+  if (e.agg.filter != nullptr && ContainsXiExpr(*e.agg.filter)) return true;
+  for (const ExprPtr& child : e.children) {
+    if (ContainsXiExpr(*child)) return true;
+  }
+  return false;
+}
+
+bool SubscriptsContainXi(const AlgebraOp& op) {
+  bool found = false;
+  ForEachSubscript(op, [&](const Expr& e) {
+    found = found || ContainsXiExpr(e);
+  });
+  return found;
+}
+
+bool ContainsXi(const AlgebraOp& op) {
+  if (op.kind == OpKind::kXiSimple || op.kind == OpKind::kXiGroup) return true;
+  if (SubscriptsContainXi(op)) return true;
+  for (const AlgebraPtr& child : op.children) {
+    if (ContainsXi(*child)) return true;
+  }
+  return false;
+}
+
 }  // namespace nalq::nal

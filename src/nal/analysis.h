@@ -38,6 +38,33 @@ SymbolSet FreeVars(const AlgebraOp& op);
 /// from the operator's input.
 SymbolSet FreeVarsExpr(const Expr& e, const SymbolSet& bound);
 
+/// True if evaluating the subtree can write to the Ξ output stream: it
+/// contains a Ξ operator, or a subscript expression anywhere in it nests
+/// algebra that does.
+bool ContainsXi(const AlgebraOp& op);
+bool ContainsXiExpr(const Expr& e);
+
+/// ContainsXi restricted to `op`'s own subscripts (its children are not
+/// walked).
+bool SubscriptsContainXi(const AlgebraOp& op);
+
+/// Calls `fn(const Expr&)` on each subscript expression of `op`: the
+/// predicate, the χ/Υ/default value, the aggregate filter and the Ξ
+/// programs' expressions. The single place that enumerates the subscript
+/// slots of an operator, so a future subscript field only needs to be
+/// added here.
+template <typename Fn>
+void ForEachSubscript(const AlgebraOp& op, Fn&& fn) {
+  for (const ExprPtr* e : {&op.pred, &op.expr, &op.agg.filter}) {
+    if (*e != nullptr) fn(**e);
+  }
+  for (const XiProgram* program : {&op.s1, &op.s2, &op.s3}) {
+    for (const XiCommand& c : *program) {
+      if (c.expr != nullptr) fn(*c.expr);
+    }
+  }
+}
+
 /// Convenience set helpers.
 bool Disjoint(const SymbolSet& a, const SymbolSet& b);
 bool Subset(const SymbolSet& a, const SymbolSet& b);

@@ -40,90 +40,6 @@ Sequence Materialize(Cursor& c) {
   return out;
 }
 
-// True if evaluating the subtree / expression can write to the Ξ output
-// stream (used to decide whether a cursor must buffer an input to keep
-// output writes in evaluator order). Walks expression subscripts too: a Ξ
-// can hide inside a nested algebra expression.
-bool ContainsXi(const AlgebraOp& op);
-
-bool ContainsXiExpr(const Expr& e) {
-  if (e.alg != nullptr && ContainsXi(*e.alg)) return true;
-  if (e.agg.filter != nullptr && ContainsXiExpr(*e.agg.filter)) return true;
-  for (const ExprPtr& child : e.children) {
-    if (ContainsXiExpr(*child)) return true;
-  }
-  return false;
-}
-
-bool ContainsXiProgram(const XiProgram& program) {
-  for (const XiCommand& c : program) {
-    if (c.expr != nullptr && ContainsXiExpr(*c.expr)) return true;
-  }
-  return false;
-}
-
-// ContainsXi restricted to `op`'s own subscripts — the spine children are
-// checked separately by the partition-point analysis. This is the single
-// place that enumerates every subscript slot of an operator; the full
-// subtree walks below build on it, so a future subscript field only needs
-// to be added here.
-bool SubscriptsContainXi(const AlgebraOp& op) {
-  if (op.pred != nullptr && ContainsXiExpr(*op.pred)) return true;
-  if (op.expr != nullptr && ContainsXiExpr(*op.expr)) return true;
-  if (op.agg.filter != nullptr && ContainsXiExpr(*op.agg.filter)) return true;
-  return ContainsXiProgram(op.s1) || ContainsXiProgram(op.s2) ||
-         ContainsXiProgram(op.s3);
-}
-
-bool ContainsXi(const AlgebraOp& op) {
-  if (op.kind == OpKind::kXiSimple || op.kind == OpKind::kXiGroup) return true;
-  if (SubscriptsContainXi(op)) return true;
-  for (const AlgebraPtr& child : op.children) {
-    if (ContainsXi(*child)) return true;
-  }
-  return false;
-}
-
-// True if any operator in the subtree (or in algebra nested inside its
-// subscript expressions) carries a CSE id. A per-worker evaluation of such
-// a node would populate the worker's private CSE cache instead of the
-// shared one — diverging both work and the merged stats from a serial run.
-bool ContainsCse(const AlgebraOp& op);
-
-bool ContainsCseExpr(const Expr& e) {
-  if (e.alg != nullptr && ContainsCse(*e.alg)) return true;
-  if (e.agg.filter != nullptr && ContainsCseExpr(*e.agg.filter)) return true;
-  for (const ExprPtr& child : e.children) {
-    if (ContainsCseExpr(*child)) return true;
-  }
-  return false;
-}
-
-bool ContainsCseProgram(const XiProgram& program) {
-  for (const XiCommand& c : program) {
-    if (c.expr != nullptr && ContainsCseExpr(*c.expr)) return true;
-  }
-  return false;
-}
-
-// Subscript-only form, mirroring SubscriptsContainXi.
-bool SubscriptsContainCse(const AlgebraOp& op) {
-  if (op.pred != nullptr && ContainsCseExpr(*op.pred)) return true;
-  if (op.expr != nullptr && ContainsCseExpr(*op.expr)) return true;
-  if (op.agg.filter != nullptr && ContainsCseExpr(*op.agg.filter)) return true;
-  return ContainsCseProgram(op.s1) || ContainsCseProgram(op.s2) ||
-         ContainsCseProgram(op.s3);
-}
-
-bool ContainsCse(const AlgebraOp& op) {
-  if (op.cse_id >= 0) return true;
-  if (SubscriptsContainCse(op)) return true;
-  for (const AlgebraPtr& child : op.children) {
-    if (ContainsCse(*child)) return true;
-  }
-  return false;
-}
-
 /// Pass-through cursor that fully materializes its input on Open and then
 /// streams from the buffer. Not an operator: it re-emits already-counted
 /// tuples, so Next does not touch tuples_produced. Used to pin evaluation
@@ -823,40 +739,44 @@ class XiGroupCursor final : public Cursor {
 // Common-subexpression sharing
 // ---------------------------------------------------------------------------
 
-/// Wraps the operator cursor of a node with cse_id >= 0: on first Open the
-/// node is computed once (through its own counting cursor tree) and stored in
-/// the evaluator's CSE cache; every consumer — including nested subscript
-/// evaluations going through Evaluator::EvalOp — then streams from the
-/// cached sequence without re-computing or re-counting, exactly like the
-/// materializing evaluator's cache-hit path.
+/// Wraps the operator cursor of a node with cse_id >= 0: the first Open in
+/// the run computes the node once (through its own counting cursor tree)
+/// into the run's CseTable; every consumer — including nested subscript
+/// evaluations going through Evaluator::EvalOp, on any worker — then
+/// replays the entry without re-computing or re-counting, exactly like the
+/// materializing evaluator's hit path. The table charges the entry to the
+/// run's budget and spills it when it does not fit.
 class CseCursor final : public Cursor {
  public:
-  CseCursor(const AlgebraOp& op, ExecContext& ctx)
-      : op_(op), ctx_(ctx) {}
+  CseCursor(const AlgebraOp& op, ExecContext& ctx) : op_(op), ctx_(ctx) {}
   void Open() override {
-    const Sequence* cached = ctx_.ev->CseFind(op_.cse_id);
-    if (cached == nullptr) {
-      CursorPtr inner = MakeOpCursor(op_, ctx_);
-      cached = &ctx_.ev->CseStore(op_.cse_id, Materialize(*inner));
-      // The cache retains the sequence for the rest of the run; charge it as
-      // buffered without release.
-      if (ctx_.stream != nullptr) ctx_.stream->OnBuffer(cached->size());
+    bool filled = false;
+    const CseTable::Entry& entry = ctx_.ev->cse_table()->Get(
+        op_.cse_id, &ctx_.ev->stats().spill,
+        [&](const CseTable::Sink& sink) {
+          CursorPtr inner = MakeOpCursor(op_, ctx_);
+          Tuple t;
+          inner->Open();
+          while (inner->Next(&t)) sink(std::move(t));
+          inner->Close();
+        },
+        &filled);
+    // The table retains the entry for the rest of the run; StreamStats
+    // sees it as buffered without release.
+    if (filled && ctx_.stream != nullptr) {
+      ctx_.stream->OnBuffer(CseTable::Size(entry));
     }
-    cached_ = cached;
-    pos_ = 0;
+    reader_.emplace(entry);
   }
   bool Next(Tuple* out) override {
-    if (pos_ >= cached_->size()) return false;
-    *out = (*cached_)[pos_++];
-    return true;  // cache hits are not re-counted (parity with EvalOp)
+    return reader_->Next(out);  // replays are not re-counted (as in EvalOp)
   }
-  void Close() override {}
+  void Close() override { reader_.reset(); }
 
  private:
   const AlgebraOp& op_;
   ExecContext& ctx_;
-  const Sequence* cached_ = nullptr;
-  size_t pos_ = 0;
+  std::optional<CseTable::Reader> reader_;
 };
 
 CursorPtr MakeOpCursor(const AlgebraOp& op, ExecContext& ctx) {
@@ -1032,7 +952,7 @@ CursorPtr MakeCursor(const AlgebraOp& op, ExecContext& ctx) {
     ctx.make_exchange = nullptr;
     return MaybeProfileCursor(op, ctx, factory(ctx));
   }
-  if (op.cse_id >= 0 && ctx.env->empty()) {
+  if (op.cse_id >= 0 && ctx.ev->cse_table() != nullptr) {
     return MaybeProfileCursor(op, ctx,
                               std::make_unique<CseCursor>(op, ctx));
   }
@@ -1147,7 +1067,7 @@ bool IsProbePartitionableOp(const AlgebraOp& op) {
   // once on the consumer during exchange Open, which matches the serial
   // cursor's Open cascade only when that evaluation writes no output.
   return op.cse_id < 0 && !SubscriptsContainXi(op) &&
-         !SubscriptsContainCse(op) && !ContainsXi(*op.child(1));
+         !ContainsXi(*op.child(1));
 }
 
 bool IsGammaPartitionableOp(const AlgebraOp& op) {
@@ -1157,8 +1077,7 @@ bool IsGammaPartitionableOp(const AlgebraOp& op) {
   // in one partition, so any aggregate (min/max/sum/count/id...) works
   // without partial-state merging.
   if (op.theta != CmpOp::kEq) return false;
-  return op.cse_id < 0 && !SubscriptsContainXi(op) &&
-         !SubscriptsContainCse(op);
+  return op.cse_id < 0 && !SubscriptsContainXi(op);
 }
 
 SharedJoinBuildPtr BuildSharedJoin(const AlgebraOp& op, ExecContext& ctx) {
@@ -1225,11 +1144,10 @@ bool IsPartitionableOp(const AlgebraOp& op) {
       return false;
   }
   // The node itself must not be shared (CSE computes once per run), and its
-  // subscripts must neither write to the Ξ output stream (workers have no
-  // output ordering) nor evaluate CSE-carrying algebra (workers have
-  // private caches).
-  return op.cse_id < 0 && !SubscriptsContainXi(op) &&
-         !SubscriptsContainCse(op);
+  // subscripts must not write to the Ξ output stream (workers have no
+  // output ordering). CSE-carrying subscripts are fine: every worker reads
+  // the run's one CseTable (nal/spool.h), which fills each entry once.
+  return op.cse_id < 0 && !SubscriptsContainXi(op);
 }
 
 CursorPtr MakeCursorOver(const AlgebraOp& op, ExecContext& ctx,
@@ -1275,7 +1193,6 @@ std::optional<SpoolContext> MakeEnvSpool(SpoolContext* explicit_spool) {
 uint64_t DrainStreaming(Evaluator& ev, const AlgebraOp& op,
                         StreamStats* stream, SpoolContext* spool) {
   xml::StoreReadLease lease(ev.store());
-  ev.ClearCse();
   std::optional<SpoolContext> env_spool = MakeEnvSpool(spool);
   if (env_spool.has_value()) spool = &*env_spool;
   // The spool layer polls the run's cancellation token per temp-file record
@@ -1286,6 +1203,8 @@ uint64_t DrainStreaming(Evaluator& ev, const AlgebraOp& op,
   Tuple env;
   ExecContext ctx{&ev, &env, stream,
                   spool != nullptr && spool->enabled() ? spool : nullptr};
+  CseTable cse(ctx.spool);
+  ScopedCseTable bind(ev, &cse);
   CursorPtr root = MakeCursor(op, ctx);
   uint64_t count = 0;
   Tuple t;
@@ -1298,7 +1217,6 @@ uint64_t DrainStreaming(Evaluator& ev, const AlgebraOp& op,
 Sequence ExecuteStreaming(Evaluator& ev, const AlgebraOp& op,
                           StreamStats* stream, SpoolContext* spool) {
   xml::StoreReadLease lease(ev.store());
-  ev.ClearCse();
   std::optional<SpoolContext> env_spool = MakeEnvSpool(spool);
   if (env_spool.has_value()) spool = &*env_spool;
   if (spool != nullptr && spool->control() == nullptr) {
@@ -1307,6 +1225,8 @@ Sequence ExecuteStreaming(Evaluator& ev, const AlgebraOp& op,
   Tuple env;
   ExecContext ctx{&ev, &env, stream,
                   spool != nullptr && spool->enabled() ? spool : nullptr};
+  CseTable cse(ctx.spool);
+  ScopedCseTable bind(ev, &cse);
   CursorPtr root = MakeCursor(op, ctx);
   Sequence out;
   Tuple t;

@@ -8,8 +8,8 @@
 //   * hash build sides — the right operand of ⋈/⋉/▷/outer-join/binary-Γ,
 //   * Γ group construction — unary Γ and the group-detecting Ξ bucket their
 //                       whole input by key,
-//   * CSE nodes       — a shared subtree is computed once and its result
-//                       re-read, which requires the result to exist,
+//   * CSE nodes       — a shared subtree is computed once per run into the
+//                       run's CseTable (nal/spool.h) and re-read from there,
 //   * Ξ over Ξ        — a Ξ cursor materializes its input iff the subtree
 //                       below it contains another Ξ, so interleaving pulls
 //                       can never reorder writes on the shared output stream.
@@ -89,7 +89,7 @@ class Cursor {
 using CursorPtr = std::unique_ptr<Cursor>;
 
 /// Shared state of one streaming execution: the evaluator supplies
-/// expression evaluation, statistics, the Ξ output stream and the CSE cache;
+/// expression evaluation, statistics, the Ξ output stream and the CSE table;
 /// `env` is the (top-level, empty) outer binding every operator sees.
 ///
 /// The plan/state split that makes operators per-worker clonable: a cursor
@@ -121,11 +121,13 @@ struct ExecContext {
 CursorPtr MakeCursor(const AlgebraOp& op, ExecContext& ctx);
 
 /// True if `op`'s cursor processes input tuples one at a time with no state
-/// spanning tuples, no CSE caching and no Ξ output writes — anywhere,
-/// including algebra nested in its subscript expressions. Exactly these
-/// operators may be instantiated once per worker over a partition of their
-/// input without changing output bytes or merged EvalStats (exchange.h):
-/// σ, χ, Υ, μ/μD and Π in keep/drop/rename form.
+/// spanning tuples, is not itself a CSE node, and writes no Ξ output —
+/// anywhere, including algebra nested in its subscript expressions. Exactly
+/// these operators may be instantiated once per worker over a partition of
+/// their input without changing output bytes or merged EvalStats
+/// (exchange.h): σ, χ, Υ, μ/μD and Π in keep/drop/rename form. CSE nodes
+/// inside their subscripts are fine: every worker reads the run's one
+/// CseTable (nal/spool.h), which computes and counts each entry once.
 bool IsPartitionableOp(const AlgebraOp& op);
 
 /// Builds the operator cursor for the unary, partitionable `op` reading
@@ -154,8 +156,8 @@ using SharedJoinBuildPtr = std::shared_ptr<SharedJoinBuild>;
 
 /// True if `op` is a join-family breaker (⋈/×/⋉/▷/outer-join/binary-Γ)
 /// whose PROBE side may be partitioned across workers against a shared
-/// build: the node is not CSE-shared, its subscripts neither write Ξ output
-/// nor evaluate CSE-carrying algebra (workers evaluate them), and the build
+/// build: the node is not CSE-shared, its subscripts write no Ξ output
+/// (workers evaluate them), and the build
 /// subtree (child(1)) is Ξ-free — it runs once on the consumer, but out of
 /// serial write order relative to nothing, so any Ξ inside would still be
 /// consumer-serial; the restriction keeps the build's evaluation point
@@ -185,8 +187,9 @@ CursorPtr MakeProbeCursorOver(const AlgebraOp& op, ExecContext& ctx,
                               CursorPtr input, const SharedJoinBuild& build);
 
 /// Pull-runs `op` to exhaustion, discarding root tuples (Ξ side effects
-/// accumulate on the evaluator's output stream). Clears the CSE cache first,
-/// mirroring Evaluator::Eval. Returns the number of root tuples.
+/// accumulate on the evaluator's output stream). Binds a fresh run-scoped
+/// CseTable charged to the run's budget, mirroring Evaluator::Eval. Returns
+/// the number of root tuples.
 ///
 /// `spool` opts the run into memory-bounded execution (nal/spool.h). When
 /// null, the NALQ_MEMORY_BUDGET_BYTES environment variable — read once per

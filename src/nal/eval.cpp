@@ -8,6 +8,7 @@
 #include <unordered_set>
 
 #include "engine/error.h"
+#include "nal/spool.h"
 #include "xml/parser.h"
 #include "xml/serializer.h"
 
@@ -142,7 +143,8 @@ Value Evaluator::EvalExpr(const Expr& e, const Tuple& local,
     case ExprKind::kQuant: {
       ++stats_.nested_alg_evals;
       Tuple inner_env = env.Concat(local);
-      Sequence range = EvalOp(*e.alg, inner_env);
+      Sequence scratch;
+      const Sequence& range = EvalOpForRead(*e.alg, inner_env, &scratch);
       const Expr& pred = *e.children[0];
       for (const Tuple& u : range) {
         Tuple binding = u;
@@ -488,14 +490,41 @@ Value Evaluator::EvalPathExpr(const Expr& e, const Tuple& local,
 // Operators
 // ---------------------------------------------------------------------------
 
+Sequence Evaluator::Eval(const AlgebraOp& op) {
+  xml::StoreReadLease lease(store_);  // single-writer contract (store.h)
+  CseTable cse(nullptr);
+  ScopedCseTable bind(*this, &cse);
+  return EvalOp(op, Tuple());
+}
+
 Sequence Evaluator::EvalOp(const AlgebraOp& op, const Tuple& env) {
+  Sequence scratch;
+  const Sequence& out = EvalOpForRead(op, env, &scratch);
+  if (&out == &scratch) return scratch;
+  return out;  // a copy of the CSE entry
+}
+
+const Sequence& Evaluator::EvalOpForRead(const AlgebraOp& op,
+                                         const Tuple& env, Sequence* scratch) {
   // Cancellation point: nested subscripts re-enter EvalOp once per outer
   // tuple, so a runaway nested-loop plan in the materializing evaluator
   // polls here even when its operators produce nothing.
   CheckInterrupt();
-  if (op.cse_id >= 0 && env.empty()) {
-    if (const Sequence* cached = CseFind(op.cse_id)) return *cached;
+  if (op.cse_id < 0 || cse_ == nullptr) {
+    return *scratch = EvalOpUncached(op, env);
   }
+  // A CSE node has no free variables, so `env` cannot change its result:
+  // the first evaluation in the run computes and counts it, every later
+  // one (any outer tuple, any worker) re-reads the table uncounted.
+  const CseTable::Entry& entry =
+      cse_->Get(op.cse_id, &stats_.spill, [&](const CseTable::Sink& sink) {
+        for (Tuple& t : EvalOpUncached(op, env)) sink(std::move(t));
+      });
+  if (const Sequence* resident = CseTable::Resident(entry)) return *resident;
+  return *scratch = CseTable::Copy(entry);
+}
+
+Sequence Evaluator::EvalOpUncached(const AlgebraOp& op, const Tuple& env) {
   // Profile scope (obs/profile.h): a tracked plan node attributes its
   // emissions — and those of any untracked subscript algebra it evaluates —
   // to itself; untracked nested algebra inherits the enclosing scope. This
@@ -578,19 +607,17 @@ Sequence Evaluator::EvalOp(const AlgebraOp& op, const Tuple& env) {
       break;
   }
   CountProduced(out.size());
-  if (op.cse_id >= 0 && env.empty()) {
-    // Move into the cache, hand the caller a copy: one copy on the cold
-    // path instead of two.
-    return CseStore(op.cse_id, std::move(out));
-  }
   return out;
 }
 
 Sequence Evaluator::EvalSelect(const AlgebraOp& op, const Tuple& env) {
-  Sequence input = EvalOp(*op.child(0), env);
+  Sequence scratch;
+  const Sequence& input = EvalOpForRead(*op.child(0), env, &scratch);
+  const bool owned = &input == &scratch;
   Sequence out;
-  for (Tuple& t : input) {
-    if (EvalPred(*op.pred, t, env)) out.Append(std::move(t));
+  for (size_t i = 0; i < input.size(); ++i) {
+    if (!EvalPred(*op.pred, input[i], env)) continue;
+    out.Append(owned ? std::move(scratch[i]) : input[i]);
   }
   return out;
 }

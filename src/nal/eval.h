@@ -1,10 +1,14 @@
 // The NAL evaluator.
 //
 // Implements every operator of Sec. 2 with order-preserving semantics.
-// Nested algebraic expressions in subscripts are re-evaluated per input
-// tuple — precisely the nested-loop strategy whose cost the unnesting
-// equivalences eliminate — and the evaluator counts those re-evaluations and
-// document scans so the benchmarks can report them.
+// Nested algebraic expressions in subscripts are evaluated per input tuple —
+// the nested-loop strategy whose cost the unnesting equivalences eliminate —
+// and the evaluator counts those evaluations and document scans so the
+// benchmarks can report them. Only their correlated part is recomputed:
+// Engine::Compile marks every maximal subscript subtree without free
+// variables as a CSE node (rewrite/invariants.h), and such a node is
+// computed once per run into the run's CseTable (nal/spool.h) and re-read
+// from there by every later evaluation, on every executor and worker.
 #ifndef NALQ_NAL_EVAL_H_
 #define NALQ_NAL_EVAL_H_
 
@@ -20,6 +24,8 @@
 #include "xml/xpath.h"
 
 namespace nalq::nal {
+
+class CseTable;  // run-scoped common-subexpression results (nal/spool.h)
 
 /// Counters for the memory-bounded execution layer (nal/spool.h). Unlike
 /// every other EvalStats field these are NOT part of the executors'
@@ -85,13 +91,10 @@ class Evaluator {
   Evaluator(const Evaluator&) = delete;
   Evaluator& operator=(const Evaluator&) = delete;
 
-  /// Evaluates `op` with no outer bindings. Clears the common-subexpression
-  /// cache first (each top-level run re-reads the documents).
-  Sequence Eval(const AlgebraOp& op) {
-    xml::StoreReadLease lease(store_);  // single-writer contract (store.h)
-    ClearCse();
-    return EvalOp(op, Tuple());
-  }
+  /// Evaluates `op` with no outer bindings, with a fresh run-scoped CSE
+  /// table (each top-level run re-reads the documents). The materializing
+  /// evaluator ignores memory budgets, so the table is unlimited.
+  Sequence Eval(const AlgebraOp& op);
 
   /// Evaluates `op` with outer variable bindings `env` (used for nested
   /// algebraic expressions).
@@ -188,21 +191,22 @@ class Evaluator {
   void RunXiProgram(const XiProgram& program, const Tuple& t,
                     const Tuple& env);
 
-  // Common-subexpression cache access, shared with the streaming executor so
-  // both execution paths (and nested subscript evaluations) see one cache.
-  const Sequence* CseFind(int id) const {
-    auto it = cse_cache_.find(id);
-    return it == cse_cache_.end() ? nullptr : &it->second;
-  }
-  const Sequence& CseStore(int id, Sequence s) {
-    return cse_cache_[id] = std::move(s);
-  }
-  void ClearCse() {
-    cse_cache_.clear();
-    cse_cache_.reserve(16);
-  }
+  /// The run's common-subexpression table, or null: CSE nodes are then
+  /// evaluated like any other node. Shared by pointer like the control
+  /// token: the run entry points (Eval, DrainStreaming, the exchange) bind
+  /// one table per run through ScopedCseTable, and the exchange binds the
+  /// same table on every worker evaluator. Must outlive its binding.
+  void set_cse_table(CseTable* table) { cse_ = table; }
+  CseTable* cse_table() const { return cse_; }
 
  private:
+  /// EvalOp for a caller that only reads the result: a CSE entry held in
+  /// RAM is read in place instead of copied; anything else is evaluated
+  /// into `*scratch`, which the caller may move tuples out of.
+  const Sequence& EvalOpForRead(const AlgebraOp& op, const Tuple& env,
+                                Sequence* scratch);
+  /// EvalOp without the CSE lookup: evaluates and counts `op` itself.
+  Sequence EvalOpUncached(const AlgebraOp& op, const Tuple& env);
   Sequence EvalSelect(const AlgebraOp& op, const Tuple& env);
   Sequence EvalProject(const AlgebraOp& op, const Tuple& env);
   Sequence EvalMap(const AlgebraOp& op, const Tuple& env);
@@ -233,9 +237,26 @@ class Evaluator {
   obs::TraceLog* trace_ = nullptr;
   xml::PathEvalMode path_mode_ = xml::PathEvalMode::kIndexed;
   std::string output_;
-  std::unordered_map<int, Sequence> cse_cache_;
+  CseTable* cse_ = nullptr;
   mutable std::unordered_map<xml::NodeRef, std::string, xml::NodeRefHash>
       render_cache_;
+};
+
+/// Binds `table` as `ev`'s CSE table for the guard's lifetime and restores
+/// the previous binding after — the run-scoped form every entry point uses.
+class ScopedCseTable {
+ public:
+  ScopedCseTable(Evaluator& ev, CseTable* table)
+      : ev_(ev), saved_(ev.cse_table()) {
+    ev_.set_cse_table(table);
+  }
+  ~ScopedCseTable() { ev_.set_cse_table(saved_); }
+  ScopedCseTable(const ScopedCseTable&) = delete;
+  ScopedCseTable& operator=(const ScopedCseTable&) = delete;
+
+ private:
+  Evaluator& ev_;
+  CseTable* saved_;
 };
 
 /// Flattens a value to its item sequence (null → empty, atomic/node →

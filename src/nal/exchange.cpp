@@ -224,6 +224,7 @@ class MergeCursor final : public Cursor {
       // the deadline tripping on any thread) stops every chunk task at its
       // next poll.
       wp->ev->set_control(ctx_.ev->control());
+      wp->ev->set_cse_table(ctx_.ev->cse_table());
       // Each worker profiles into a private clone of the run's collector
       // (folded at Close, like the stats), so workers never contend on the
       // profile. The trace log is one shared thread-safe sink.
@@ -649,6 +650,7 @@ class GammaExchangeCursor final : public Cursor {
       w->ev = std::make_unique<Evaluator>(ctx_.ev->store());
       w->ev->set_path_mode(ctx_.ev->path_mode());
       w->ev->set_control(ctx_.ev->control());
+      w->ev->set_cse_table(ctx_.ev->cse_table());
       if (ctx_.ev->profile() != nullptr) {
         w->profile = std::make_unique<obs::ProfileCollector>(
             ctx_.ev->profile()->CloneEmpty());
@@ -837,7 +839,6 @@ uint64_t RunParallel(Evaluator& ev, const AlgebraOp& op,
                      const ParallelOptions& options, StreamStats* stream,
                      Emit&& emit) {
   xml::StoreReadLease lease(ev.store());
-  ev.ClearCse();
   // Budget resolution mirrors DrainStreaming: an explicit option wins, the
   // NALQ_MEMORY_BUDGET_BYTES environment default applies otherwise. One
   // accountant carries the whole limit; the exchange's worker contexts
@@ -875,6 +876,10 @@ uint64_t RunParallel(Evaluator& ev, const AlgebraOp& op,
                   consumer_spool.has_value() && consumer_spool->enabled()
                       ? &*consumer_spool
                       : nullptr};
+  // One CSE table for the consumer and every worker (MergeCursor and
+  // GammaExchangeCursor bind it on their worker evaluators).
+  CseTable cse(ctx.spool);
+  ScopedCseTable bind(ev, &cse);
   if (point.has_value() && point->injection() != nullptr) {
     ctx.exchange_op = point->injection();
     const PartitionPoint* pp = &*point;

@@ -20,11 +20,15 @@
 //     the serial order;
 //   * merged EvalStats — every per-worker counter counts per-tuple events
 //     exactly once, so the fold of worker stats into the main evaluator at
-//     Close (EvalStats::operator+=) reproduces the serial totals.
+//     Close (EvalStats::operator+=) reproduces the serial totals. CSE nodes
+//     in worker subscripts keep this: every worker binds the run's one
+//     CseTable (spool.h), which fills each entry once, counted by
+//     whichever evaluator filled it.
 // tests/exchange_exec_test.cpp asserts both differentially.
 //
 // Shared read paths that make this safe: the store's build-once index latch
-// (xml/store.h), the mutex-guarded node string-value memo (xml/node.h) and
+// (xml/store.h), the CseTable's per-entry once-latch (spool.h), the
+// mutex-guarded node string-value memo (xml/node.h) and
 // the per-thread scratch buffers in xpath.cpp/physical.cpp.
 #ifndef NALQ_NAL_EXCHANGE_H_
 #define NALQ_NAL_EXCHANGE_H_

@@ -649,6 +649,8 @@ class TupleSpool {
   size_t size() const { return n_; }
   bool spilled() const { return file_ != nullptr; }
   size_t memory_size() const { return mem_.size(); }
+  /// Every tuple, when none has spilled; null otherwise.
+  const Sequence* resident() const { return spilled() ? nullptr : &mem_; }
 
   /// Sequential reader from the start; several may coexist. `consume` moves
   /// the in-memory tuples out (single-pass readers only).
@@ -768,6 +770,102 @@ PartitionSet MakePartitionSet(SpoolContext* ctx, SpillStats* stats,
 }
 
 }  // namespace
+
+// ---------------------------------------------------------------------------
+// CseTable
+// ---------------------------------------------------------------------------
+
+class CseTable::Entry {
+ public:
+  // Guarded by CseTable::mu_.
+  bool filling = false;    ///< a fill is running
+  bool ready = false;      ///< filled; the members below never change again
+  std::thread::id filler;  ///< the filling thread
+  // Declared in this order so the buffer dies before the context whose
+  // directory and budget it uses.
+  std::unique_ptr<SpoolContext> ctx;
+  std::unique_ptr<TupleSpool> tuples;
+};
+
+struct CseTable::Reader::Impl {
+  explicit Impl(const Entry& e) : reader(e.tuples.get(), /*consume=*/false) {}
+  TupleSpool::Reader reader;
+};
+
+CseTable::CseTable(SpoolContext* spool) : spool_(spool) {}
+
+CseTable::~CseTable() = default;
+
+const CseTable::Entry& CseTable::Get(int id, SpillStats* stats,
+                                     const Fill& fill, bool* filled) {
+  if (filled != nullptr) *filled = false;
+  Entry* e = nullptr;
+  {
+    std::unique_lock<std::mutex> lock(mu_);
+    std::unique_ptr<Entry>& slot = entries_[id];
+    if (slot == nullptr) slot = std::make_unique<Entry>();
+    e = slot.get();
+    if (e->filling && e->filler == std::this_thread::get_id()) {
+      throw std::logic_error("CSE entry " + std::to_string(id) +
+                             " depends on itself");
+    }
+    filled_cv_.wait(lock, [e] { return !e->filling; });
+    if (e->ready) return *e;
+    e->filling = true;
+    e->filler = std::this_thread::get_id();
+  }
+  // The fill runs outside the lock: it evaluates a whole subtree, which may
+  // fill other entries on this thread.
+  try {
+    MemoryBudget& budget = spool_ != nullptr ? spool_->budget() : unlimited_;
+    auto ctx = std::make_unique<SpoolContext>(budget);
+    if (spool_ != nullptr) {
+      ctx->set_control(spool_->control());
+      ctx->set_injector(spool_->injector());
+    }
+    auto tuples = std::make_unique<TupleSpool>(ctx.get(), stats);
+    fill([&tuples](Tuple t) { tuples->Append(std::move(t)); });
+    tuples->FinishWrites();
+    std::lock_guard<std::mutex> lock(mu_);
+    e->ctx = std::move(ctx);
+    e->tuples = std::move(tuples);
+    e->ready = true;
+    e->filling = false;
+  } catch (...) {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      e->filling = false;
+    }
+    filled_cv_.notify_all();
+    throw;
+  }
+  filled_cv_.notify_all();
+  if (filled != nullptr) *filled = true;
+  return *e;
+}
+
+size_t CseTable::Size(const Entry& entry) { return entry.tuples->size(); }
+
+const Sequence* CseTable::Resident(const Entry& entry) {
+  return entry.tuples->resident();
+}
+
+Sequence CseTable::Copy(const Entry& entry) {
+  if (const Sequence* resident = Resident(entry)) return *resident;
+  Sequence out;
+  out.Reserve(entry.tuples->size());
+  Reader reader(entry);
+  Tuple t;
+  while (reader.Next(&t)) out.Append(std::move(t));
+  return out;
+}
+
+CseTable::Reader::Reader(const Entry& entry)
+    : impl_(std::make_unique<Impl>(entry)) {}
+
+CseTable::Reader::~Reader() = default;
+
+bool CseTable::Reader::Next(Tuple* out) { return impl_->reader.Next(out); }
 
 // ---------------------------------------------------------------------------
 // ExternalSorter

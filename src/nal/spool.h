@@ -20,6 +20,9 @@
 //     k-way merge with a bounded fan-in; backs the Sort breaker, and doubles
 //     as the order-restoration sort of the grace joins and the grouped-Γ
 //     output (records carry a (key, seq) pair the merge orders by);
+//   * CseTable — the run-scoped store of common-subexpression results,
+//     shared by the consumer and every exchange worker, filled once per
+//     entry, charged to the budget and spilled like any other buffer;
 //   * spill-aware breaker cursors — drop-in replacements for the Sort,
 //     hash-join/semi/anti/outer/nest-join and unary-Γ cursors of cursor.cpp
 //     that buffer in RAM while the budget allows and grace-partition /
@@ -45,10 +48,14 @@
 #define NALQ_NAL_SPOOL_H_
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "nal/cursor.h"
@@ -193,6 +200,73 @@ class SpoolContext {
   bool created_ = false;
   bool owns_dir_ = true;
   uint64_t next_file_ = 0;
+};
+
+// ---------------------------------------------------------------------------
+// Run-scoped common-subexpression table
+// ---------------------------------------------------------------------------
+
+/// The results of a run's CSE nodes (AlgebraOp::cse_id >= 0), one entry per
+/// id. One table serves the whole run: the consumer evaluator and every
+/// exchange worker bind the same instance (Evaluator::set_cse_table), so an
+/// entry is computed exactly once whichever thread reaches it first, and
+/// the merged EvalStats equal a serial run's.
+///
+/// Each entry is filled on first use under a per-entry once-latch: one
+/// caller runs the fill, concurrent callers for the same id wait for it. A
+/// fill that throws (cancellation, deadline, I/O) leaves the entry empty and
+/// wakes the waiters, so the next caller retries. Filled tuples go through a
+/// spool buffer charged to the run's MemoryBudget; when the entry does not
+/// fit it moves to a spool file in an entry-private directory (SpillStats of
+/// the filling evaluator record it) and every read replays the file. The
+/// charges are held until the table dies at the end of the run.
+class CseTable {
+ public:
+  class Entry;
+  using Sink = std::function<void(Tuple)>;
+  using Fill = std::function<void(const Sink&)>;
+
+  /// `spool` carries the run's budget, cancellation token and fault
+  /// injector; null (or an inert context) keeps every entry in RAM. The
+  /// context must outlive the table.
+  explicit CseTable(SpoolContext* spool);
+  ~CseTable();
+  CseTable(const CseTable&) = delete;
+  CseTable& operator=(const CseTable&) = delete;
+
+  /// The entry for `id`, filled first by `fill(sink)` if no call has filled
+  /// it yet; `*filled` reports whether this call did. `stats` receives the
+  /// spill counters of a fill. A thread that re-enters the fill of the
+  /// entry it is filling gets std::logic_error instead of a deadlock.
+  const Entry& Get(int id, SpillStats* stats, const Fill& fill,
+                   bool* filled = nullptr);
+
+  /// Number of tuples in a filled entry.
+  static size_t Size(const Entry& entry);
+  /// The entry's tuples when it is held in RAM; null when it spilled.
+  static const Sequence* Resident(const Entry& entry);
+  /// The entry's tuples (read back from its spool file when spilled).
+  static Sequence Copy(const Entry& entry);
+
+  /// Sequential replay of one filled entry; any number of readers, on any
+  /// threads, may coexist.
+  class Reader {
+   public:
+    explicit Reader(const Entry& entry);
+    ~Reader();
+    bool Next(Tuple* out);
+
+   private:
+    struct Impl;
+    std::unique_ptr<Impl> impl_;
+  };
+
+ private:
+  SpoolContext* spool_;
+  MemoryBudget unlimited_{0};
+  std::mutex mu_;  ///< guards entries_ and each entry's fill state
+  std::condition_variable filled_cv_;  ///< a fill finished or failed
+  std::unordered_map<int, std::unique_ptr<Entry>> entries_;
 };
 
 // ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@
 #include "nal/cursor.h"
 #include "nal/eval.h"
 #include "nal/exchange.h"
+#include "nal/printer.h"
 #include "test_util.h"
 #include "xml/store.h"
 
@@ -526,6 +527,43 @@ TEST_F(ExchangeQueryTest, Q6Having) {
     return
       <popular-item>{ $i1 }</popular-item>
   )");
+}
+
+TEST_F(ExchangeQueryTest, MarkedNestedPlansStayInsideTheExchange) {
+  // Compile marks the invariant part of the nested Q3/Q5 subscripts as CSE
+  // nodes (rewrite/invariants.h). The σ evaluating them must stay
+  // partitionable, and the run's one CseTable must keep the merged
+  // counters equal to the serial run's.
+  const char* kQueries[] = {R"(
+    let $d1 := document("bib.xml")
+    for $t1 in $d1//book/title
+    where some $t2 in document("reviews.xml")//entry/title
+          satisfies $t1 = $t2
+    return <book-with-review>{ $t1 }</book-with-review>)",
+                            R"(
+    let $d1 := doc("bib.xml")
+    for $a1 in distinct-values($d1//author)
+    where every $b2 in doc("bib.xml")//book[author = $a1]
+          satisfies $b2/@year > 1993
+    return <new-author>{ $a1 }</new-author>)"};
+  for (const char* query : kQueries) {
+    engine::CompiledQuery q =
+        engine_.Compile(query, engine::PlanChoice::kManual);
+    ASSERT_NE(nal::PrintPlan(*q.nested_plan).find("(cse#"), std::string::npos)
+        << nal::PrintPlan(*q.nested_plan);
+    Evaluator serial(engine_.store());
+    DrainStreaming(serial, *q.nested_plan);
+    Evaluator parallel(engine_.store());
+    StreamStats stream;
+    ParallelOptions options;
+    options.threads = 4;
+    options.chunk_tuples = 8;
+    DrainParallel(parallel, *q.nested_plan, options, &stream);
+    EXPECT_GT(stream.exchange_dop, 1u);
+    EXPECT_EQ(serial.output(), parallel.output());
+    EXPECT_EQ(serial.stats().doc_scans, parallel.stats().doc_scans);
+    EXPECT_TRUE(StatsEq(serial.stats(), parallel.stats()));
+  }
 }
 
 TEST_F(ExchangeQueryTest, BothPathModesAgreeUnderParallel) {

@@ -11,6 +11,7 @@
 // spool open sites must be absorbed by the retry policy with byte-identical
 // output.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <cerrno>
@@ -79,14 +80,17 @@ size_t FilesIn(const std::string& dir) {
   return n;
 }
 
-/// Auto-created spool directories ("nalq-spool-<pid>-...") currently in the
-/// system temp dir — the leak probe for runs whose SpoolContexts the test
-/// cannot reach (the parallel executor's consumer and worker spools).
+/// This process's auto-created spool directories ("nalq-spool-<pid>-...")
+/// currently in the system temp dir — the leak probe for runs whose
+/// SpoolContexts the test cannot reach (the parallel executor's consumer and
+/// worker spools). Other processes' directories (test binaries running in
+/// parallel) do not count.
 size_t SpoolDirsInTemp() {
+  const std::string prefix = "nalq-spool-" + std::to_string(getpid()) + "-";
   size_t n = 0;
   for (const auto& entry : std::filesystem::directory_iterator(
            std::filesystem::temp_directory_path())) {
-    if (entry.path().filename().string().rfind("nalq-spool-", 0) == 0) ++n;
+    if (entry.path().filename().string().rfind(prefix, 0) == 0) ++n;
   }
   return n;
 }
