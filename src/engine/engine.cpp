@@ -196,23 +196,24 @@ RunResult Engine::Run(const nal::AlgebraPtr& plan, ExecMode mode,
     obs::TraceLog::Span execute_span(trace, "execute");
     switch (mode) {
     case ExecMode::kStreaming: {
-      if (memory_budget_bytes != 0) {
-        nal::SpoolContext spool(memory_budget_bytes);
+      // An explicit budget wins over the NALQ_MEMORY_BUDGET_BYTES default;
+      // with neither, the context is inert and nothing spills.
+      nal::SpoolContext spool(memory_budget_bytes != 0
+                                  ? memory_budget_bytes
+                                  : nal::SpoolContext::EnvBudgetBytes());
+      xml::StoreReadLease lease(store_);
+      opt::ParallelPlacement hints;
+      if (spool.enabled()) {
         // Grace-admission row hints (opt/parallel.h): the estimation walk
         // is cheap (plan-sized), and sizing partition counts from expected
         // build volume instead of the static budget/32KB rule needs it.
         // max_threads=1 skips the placement search; only the hints matter.
-        xml::StoreReadLease lease(store_);
-        opt::ParallelPlacement hints = opt::ChooseParallelPlacement(
-            store_, *plan, /*max_threads=*/1, memory_budget_bytes);
+        hints = opt::ChooseParallelPlacement(store_, *plan, /*max_threads=*/1,
+                                             spool.budget().limit_bytes());
         spool.set_row_hints(&hints.breaker_build_rows);
-        result.root_tuples =
-            nal::DrainStreaming(evaluator, *plan, &result.exec, &spool);
-      } else {
-        // env default budget may apply inside
-        result.root_tuples =
-            nal::DrainStreaming(evaluator, *plan, &result.exec);
       }
+      result.root_tuples =
+          nal::DrainStreaming(evaluator, *plan, &result.exec, &spool);
       break;
     }
     case ExecMode::kParallel: {

@@ -1,8 +1,8 @@
 // Streaming, Volcano-style pull executor for the NAL algebra.
 //
 // One cursor per operator with the classic Open/Next/Close protocol.
-// Tuples flow one at a time from the leaves to the root; a full intermediate
-// Sequence is materialized only at the true pipeline breakers:
+// Tuples flow one at a time from the leaves to the root; input is buffered
+// only at the true pipeline breakers:
 //
 //   * Sort            — needs its whole input before the first output tuple,
 //   * hash build sides — the right operand of ⋈/⋉/▷/outer-join/binary-Γ,
@@ -10,11 +10,16 @@
 //                       whole input by key,
 //   * CSE nodes       — a shared subtree is computed once per run into the
 //                       run's CseTable (nal/spool.h) and re-read from there,
-//   * Ξ over Ξ        — a Ξ cursor materializes its input iff the subtree
-//                       below it contains another Ξ, so interleaving pulls
-//                       can never reorder writes on the shared output stream.
+//   * Ξ over Ξ        — a Ξ cursor buffers its input iff the subtree below
+//                       it contains another Ξ, so interleaving pulls can
+//                       never reorder writes on the shared output stream.
 //
 // Everything else (σ, Π, χ, Υ, μ, the probe side of every join, Ξ) streams.
+// Sort, the hash-build breakers, unary Γ and the Ξ order-pinning buffers
+// each have exactly one cursor: the spill-aware one of nal/spool.h. It
+// buffers in RAM while the run's budget allows and spills to temp files
+// past it; a run without a budget carries an inert context, so the same
+// code simply never spills.
 //
 // Order preservation: probes run in left-input order and hash buckets keep
 // positions in right-input order (physical.h), exactly like the materializing
@@ -102,11 +107,10 @@ struct ExecContext {
   const Tuple* env = nullptr;
   StreamStats* stream = nullptr;  ///< optional
 
-  /// Memory-bounded execution (nal/spool.h): when set and carrying a finite
-  /// budget, the pipeline breakers buffer through the spool layer — grace
-  /// partitioning for hash builds, external merge sort for Sort/Γ — instead
-  /// of materializing fully in RAM. Null or unlimited preserves the plain
-  /// in-memory breakers bit for bit.
+  /// Memory-bounded execution (nal/spool.h): the run's spool context, never
+  /// null in a cursor tree. The pipeline breakers buffer through it — grace
+  /// partitioning for hash builds, external merge sort for Sort/Γ — once
+  /// its budget runs out; an unlimited (inert) context never spills.
   SpoolContext* spool = nullptr;
 
   /// Exchange injection point (exchange.h): when MakeCursor reaches the
@@ -191,10 +195,11 @@ CursorPtr MakeProbeCursorOver(const AlgebraOp& op, ExecContext& ctx,
 /// CseTable charged to the run's budget, mirroring Evaluator::Eval. Returns
 /// the number of root tuples.
 ///
-/// `spool` opts the run into memory-bounded execution (nal/spool.h). When
-/// null, the NALQ_MEMORY_BUDGET_BYTES environment variable — read once per
-/// process — supplies a default budget, so existing differential suites can
-/// be re-run with spilling active without code changes.
+/// `spool` carries the run's memory budget (nal/spool.h). When null, a
+/// run-local context takes its budget from the NALQ_MEMORY_BUDGET_BYTES
+/// environment variable — read once per process, unlimited when unset — so
+/// existing differential suites can be re-run with spilling active without
+/// code changes.
 uint64_t DrainStreaming(Evaluator& ev, const AlgebraOp& op,
                         StreamStats* stream = nullptr,
                         SpoolContext* spool = nullptr);

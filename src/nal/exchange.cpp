@@ -61,9 +61,9 @@ bool IsExpanding(const AlgebraOp& op) {
 }
 
 /// The leaf of a worker's cursor chain: replays the tuples of the chunk
-/// currently assigned to the pipeline. Like BufferCursor it re-emits
-/// already-counted tuples (the producer's operator counted them), so Next
-/// never touches tuples_produced.
+/// currently assigned to the pipeline. Like the order-pinning spool buffer
+/// it re-emits already-counted tuples (the producer's operator counted
+/// them), so Next never touches tuples_produced.
 class PartitionCursor final : public Cursor {
  public:
   void Reset(std::vector<Tuple> tuples) {
@@ -89,10 +89,10 @@ class PartitionCursor final : public Cursor {
 /// One worker's clone of the partitionable segment: a private Evaluator
 /// (own EvalStats, own scratch caches, same store and path mode) driving a
 /// private cursor chain over the shared plan nodes. Heap-allocated and
-/// never moved, because ctx points into the object. Under a memory budget
-/// the worker also carries a private SpoolContext — its own temp-file
-/// directory (spool files stay worker-private) sharing the run's global
-/// MemoryBudget accountant.
+/// never moved, because ctx points into the object. The worker also
+/// carries a private SpoolContext — its own temp-file directory (spool
+/// files stay worker-private) sharing the run's global MemoryBudget
+/// accountant.
 struct WorkerPipeline {
   std::unique_ptr<Evaluator> ev;
   Tuple env;  ///< the top-level empty outer binding
@@ -241,22 +241,15 @@ class MergeCursor final : public Cursor {
       // per-worker directory. (Today a worker segment holds only
       // per-tuple operators — IsPartitionableOp — so worker charges are
       // theoretical until segments ever gain stateful operators.)
-      if (ctx_.spool != nullptr) {
-        wp->spool = std::make_unique<SpoolContext>(ctx_.spool->budget());
-        wp->spool->set_control(ctx_.ev->control());
-        // Workers inherit the parent run's fault injector, not the ambient
-        // one: Open() runs on the consumer thread, but the worker contexts
-        // must fault (or not) with the run they belong to.
-        wp->spool->set_injector(ctx_.spool->injector());
-        // And its grace-admission row hints, keyed by shared plan nodes.
-        if (ctx_.spool->row_hints() != nullptr) {
-          wp->spool->set_row_hints(ctx_.spool->row_hints());
-        }
-      }
-      wp->ctx = ExecContext{wp->ev.get(), &wp->env, nullptr,
-                            wp->spool != nullptr && wp->spool->enabled()
-                                ? wp->spool.get()
-                                : nullptr};
+      wp->spool = std::make_unique<SpoolContext>(ctx_.spool->budget());
+      wp->spool->set_control(ctx_.ev->control());
+      // Workers inherit the parent run's fault injector, not the ambient
+      // one: Open() runs on the consumer thread, but the worker contexts
+      // must fault (or not) with the run they belong to.
+      wp->spool->set_injector(ctx_.spool->injector());
+      // And its grace-admission row hints, keyed by shared plan nodes.
+      wp->spool->set_row_hints(ctx_.spool->row_hints());
+      wp->ctx = ExecContext{wp->ev.get(), &wp->env, nullptr, wp->spool.get()};
       auto leaf = std::make_unique<PartitionCursor>();
       wp->leaf = leaf.get();
       CursorPtr chain = std::move(leaf);
@@ -849,15 +842,12 @@ uint64_t RunParallel(Evaluator& ev, const AlgebraOp& op,
   if (eff.memory_budget_bytes == 0) {
     eff.memory_budget_bytes = SpoolContext::EnvBudgetBytes();
   }
-  std::optional<SpoolContext> consumer_spool;
   if (eff.memory_budget_bytes != 0) {
     eff.threads = ResolveBudgetedThreads(eff.threads, eff.memory_budget_bytes);
-    consumer_spool.emplace(eff.memory_budget_bytes);
-    consumer_spool->set_control(ev.control());
-    if (eff.breaker_row_hints != nullptr) {
-      consumer_spool->set_row_hints(eff.breaker_row_hints);
-    }
   }
+  SpoolContext consumer_spool(eff.memory_budget_bytes);  // inert when 0
+  consumer_spool.set_control(ev.control());
+  consumer_spool.set_row_hints(eff.breaker_row_hints);
   // Placement: a resolved caller choice (the cost-driven chooser,
   // opt/parallel.h) is honored as-is; an unresolved run scans for itself —
   // breaker-extended only when the whole run is unlimited, because the
@@ -872,10 +862,7 @@ uint64_t RunParallel(Evaluator& ev, const AlgebraOp& op,
     point = FindPartitionPoint(op, PartitionScan{unlimited, unlimited});
   }
   Tuple env;
-  ExecContext ctx{&ev, &env, stream,
-                  consumer_spool.has_value() && consumer_spool->enabled()
-                      ? &*consumer_spool
-                      : nullptr};
+  ExecContext ctx{&ev, &env, stream, &consumer_spool};
   // One CSE table for the consumer and every worker (MergeCursor and
   // GammaExchangeCursor bind it on their worker evaluators).
   CseTable cse(ctx.spool);

@@ -1,13 +1,11 @@
-// Shared join/Γ probe loops for the streaming cursors (cursor.cpp) and the
-// spill-aware cursors' fits-in-memory and spooled-nested-loop modes
-// (spool.cpp).
+// Shared join/Γ probe loops for the spill-aware breaker cursors' fits-in-
+// memory and spooled-nested-loop modes (spool.cpp) and the exchange
+// workers' shared-build probes (SharedProbeCursor, cursor.cpp).
 //
-// Before this header the spill cursors replicated the plain cursors' probe
-// loops verbatim under a "mirror contract" comment — a semantic change to
-// one side silently broke the byte-identity of budgeted-but-fitting runs.
-// Now there is exactly one implementation of each loop, parameterized over
-// an Access policy, and the identity holds by construction (still asserted
-// differentially by tests/spool_test.cpp).
+// There is exactly one implementation of each loop, parameterized over an
+// Access policy, so a breaker probes the same way whether its build side is
+// in RAM, spooled, or shared across exchange workers; tests/spool_test.cpp
+// and tests/parallel_breakers_test.cpp assert the identity differentially.
 //
 // Access policy — the cursor itself, exposing:
 //
@@ -234,9 +232,8 @@ class JoinProbeLoops {
 };
 
 // ---------------------------------------------------------------------------
-// Unary Γ over '=' — first-occurrence bucketing and group emission, shared
-// by GroupUnaryCursor (cursor.cpp) and the fits-in-memory mode of
-// SpillGroupUnaryCursor (spool.cpp).
+// Unary Γ over '=' — first-occurrence bucketing and group emission of the
+// fits-in-memory mode of SpillGroupUnaryCursor (spool.cpp).
 // ---------------------------------------------------------------------------
 
 struct GammaBuckets {
@@ -290,10 +287,9 @@ inline bool NextEqGammaGroup(GammaBuckets& b, Sequence& input,
 }
 
 /// Emits the next θ-group (group for key v = σ_{v θ A}(e)): `for_each_input`
-/// re-presents every input tuple — an in-RAM sequence walk in cursor.cpp
-/// (pass lvalues: the sequence is rescanned per key, so matches are
-/// copied), a spool rescan in spool.cpp (pass rvalues: the deserialized
-/// tuple is fresh, so matches are moved).
+/// re-presents every input tuple — an in-RAM walk (pass lvalues: the input
+/// is rescanned per key, so matches are copied) or a spool replay (pass
+/// rvalues: each deserialized tuple is fresh, so matches are moved).
 template <class ForEachInput>
 bool NextThetaGammaGroup(const std::vector<Key>& order, size_t* next_key,
                          const AlgebraOp& op, ExecContext& ctx,

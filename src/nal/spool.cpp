@@ -602,6 +602,12 @@ class ChargeGuard {
     charged_ += bytes;
     return true;
   }
+  /// Charges one resident tuple. An unlimited budget admits it without
+  /// sizing it, so a run with no budget pays nothing for the accounting.
+  bool TryChargeTuple(const Tuple& t) {
+    return !budget_->limited() ||
+           TryCharge(ApproximateTupleBytes(t) + kTupleOverhead);
+  }
   void ChargeUnchecked(uint64_t bytes) {
     budget_->ChargeUnchecked(bytes);
     charged_ += bytes;
@@ -628,8 +634,7 @@ class TupleSpool {
 
   void Append(Tuple t) {
     if (file_ == nullptr) {
-      uint64_t b = ApproximateTupleBytes(t) + kTupleOverhead;
-      if (charge_.TryCharge(b)) {
+      if (charge_.TryChargeTuple(t)) {
         mem_.Append(std::move(t));
         ++n_;
         return;
@@ -964,15 +969,18 @@ ExternalSorter::ExternalSorter(SpoolContext* spool, SpillStats* stats,
 ExternalSorter::~ExternalSorter() = default;
 
 void ExternalSorter::Add(std::vector<Value> key, uint64_t seq, Tuple tuple) {
-  uint64_t bytes = kTupleOverhead + ApproximateTupleBytes(tuple);
-  for (const Value& v : key) bytes += 16 + ApproximateValueBytes(v);
-  if (!impl_->charge_.TryCharge(bytes)) {
-    if (!impl_->buffer_.empty()) Flush();
+  if (spool_->budget().limited()) {
+    uint64_t bytes = kTupleOverhead + ApproximateTupleBytes(tuple);
+    for (const Value& v : key) bytes += 16 + ApproximateValueBytes(v);
     if (!impl_->charge_.TryCharge(bytes)) {
-      // Progress guarantee: a single record may exceed what is left of the
-      // budget (shared with other breakers); hold it anyway. With a budget
-      // below one tuple this is what degenerates runs to 1–2 records.
-      impl_->charge_.ChargeUnchecked(bytes);
+      if (!impl_->buffer_.empty()) Flush();
+      if (!impl_->charge_.TryCharge(bytes)) {
+        // Progress guarantee: a single record may exceed what is left of
+        // the budget (shared with other breakers); hold it anyway. With a
+        // budget below one tuple this is what degenerates runs to 1–2
+        // records.
+        impl_->charge_.ChargeUnchecked(bytes);
+      }
     }
   }
   impl_->buffer_.push_back(
@@ -1108,6 +1116,14 @@ inline SpillStats* StatsOf(ExecContext& ctx) {
   return &ctx.ev->stats().spill;
 }
 
+/// Cursors are single-use (cursor.h). The breakers below keep their
+/// partition and spool state across Open rather than resetting it, so a
+/// second Open fails loudly instead of replaying stale state.
+void OpenOnce(bool* opened) {
+  if (*opened) throw std::logic_error("spill cursor is single-use (cursor.h)");
+  *opened = true;
+}
+
 /// Drains `input` Materialize-style (Open / Next* / Close) into `sink`.
 template <typename Sink>
 void DrainInto(Cursor& input, Sink&& sink) {
@@ -1127,13 +1143,7 @@ class SpillSortCursor final : public Cursor {
       : op_(op), ctx_(ctx), input_(std::move(input)) {}
 
   void Open() override {
-    if (opened_) {
-      // Unlike the in-memory cursors (which happen to tolerate it), the
-      // spill cursors do not reset their partition/spool state on re-Open;
-      // enforce the documented single-use cursor contract loudly.
-      throw std::logic_error("spill cursor is single-use (cursor.h)");
-    }
-    opened_ = true;
+    OpenOnce(&opened_);
     sorter_.emplace(ctx_.spool, StatsOf(ctx_),
                     std::vector<uint8_t>(op_.sort_desc));
     uint64_t seq = 0;
@@ -1174,7 +1184,7 @@ class SpillSortCursor final : public Cursor {
 };
 
 // ---------------------------------------------------------------------------
-// Order-pinning buffer (spool-backed BufferCursor)
+// Order-pinning buffer
 // ---------------------------------------------------------------------------
 
 class SpoolBufferCursor final : public Cursor {
@@ -1183,13 +1193,7 @@ class SpoolBufferCursor final : public Cursor {
       : ctx_(ctx), input_(std::move(input)) {}
 
   void Open() override {
-    if (opened_) {
-      // Unlike the in-memory cursors (which happen to tolerate it), the
-      // spill cursors do not reset their partition/spool state on re-Open;
-      // enforce the documented single-use cursor contract loudly.
-      throw std::logic_error("spill cursor is single-use (cursor.h)");
-    }
-    opened_ = true;
+    OpenOnce(&opened_);
     spool_.emplace(ctx_.spool, StatsOf(ctx_));
     DrainInto(*input_, [&](Tuple t) { spool_->Append(std::move(t)); });
     spool_->FinishWrites();
@@ -1229,13 +1233,7 @@ class SpillGroupUnaryCursor final : public Cursor {
       : op_(op), ctx_(ctx), input_(std::move(input)), charge_(BudgetOf(ctx)) {}
 
   void Open() override {
-    if (opened_) {
-      // Unlike the in-memory cursors (which happen to tolerate it), the
-      // spill cursors do not reset their partition/spool state on re-Open;
-      // enforce the documented single-use cursor contract loudly.
-      throw std::logic_error("spill cursor is single-use (cursor.h)");
-    }
-    opened_ = true;
+    OpenOnce(&opened_);
     if (op_.theta == CmpOp::kEq) {
       OpenEq();
     } else {
@@ -1311,8 +1309,7 @@ class SpillGroupUnaryCursor final : public Cursor {
     uint64_t seq = 0;
     DrainInto(*input_, [&](Tuple t) {
       if (!spilled_) {
-        uint64_t b = ApproximateTupleBytes(t) + kTupleOverhead;
-        if (charge_.TryCharge(b)) {
+        if (charge_.TryChargeTuple(t)) {
           input_seq_.Append(std::move(t));
           ++seq;
           return;
@@ -1323,8 +1320,8 @@ class SpillGroupUnaryCursor final : public Cursor {
     });
 
     if (!spilled_) {
-      // In-memory: exactly the plain GroupUnaryCursor — literally, the
-      // bucketing and emission are the shared nal/probe_loops.h helpers.
+      // In-memory: bucketing and emission are the nal/probe_loops.h
+      // helpers.
       gamma_.Build(input_seq_, op_.left_attrs, store);
       if (ctx_.stream != nullptr) {
         stream_charged_ = input_seq_.size();
@@ -1478,12 +1475,16 @@ class SpillGroupUnaryCursor final : public Cursor {
   }
 
   bool NextTheta(Tuple* out) {
-    // Group construction shared with GroupUnaryCursor (nal/probe_loops.h);
-    // only the input rescan differs — a spool replay instead of an in-RAM
-    // sequence walk.
+    // Group construction is the nal/probe_loops.h helper; the input is
+    // rescanned per key.
     return probe::NextThetaGammaGroup(
         gamma_.order, &gamma_.next_key, op_, ctx_,
         [&](auto&& fn) {
+          if (const Sequence* resident = theta_spool_->resident()) {
+            // Lvalue: only matches are copied into the group.
+            for (const Tuple& u : *resident) fn(u);
+            return;
+          }
           TupleSpool::Reader reader = theta_spool_->NewReader();
           Tuple u;
           // Rvalue: each deserialized tuple is fresh, so a match is moved
@@ -1532,18 +1533,12 @@ class SpillJoinCursor final : public Cursor {
   }
 
   void Open() override {
-    if (opened_) {
-      // Unlike the in-memory cursors (which happen to tolerate it), the
-      // spill cursors do not reset their partition/spool state on re-Open;
-      // enforce the documented single-use cursor contract loudly.
-      throw std::logic_error("spill cursor is single-use (cursor.h)");
-    }
-    opened_ = true;
+    OpenOnce(&opened_);
     left_->Open();
     DetectEqui();
     BuildRight();
-    // Post-build checks and constants, mirroring the in-memory cursors'
-    // Open order.
+    // Post-build checks and constants, in the materializing evaluator's
+    // order.
     if (op_.kind == OpKind::kGroupBinary && op_.theta != CmpOp::kEq &&
         op_.left_attrs.size() != 1) {
       throw engine::Error(engine::ErrorCode::kPlanError,
@@ -1562,8 +1557,8 @@ class SpillJoinCursor final : public Cursor {
     switch (mode_) {
       case Mode::kInMemory:
       case Mode::kSpilledLoop:
-        // In-memory and spooled-nested-loop probes share the plain cursors'
-        // loops (nal/probe_loops.h); the access methods below read mode_.
+        // In-memory and spooled-nested-loop probes share the loops of
+        // nal/probe_loops.h; the access methods below read mode_.
         return NextProbeLoop(out);
       case Mode::kSpilledEqui:
         return NextSpilledEqui(out);
@@ -1653,8 +1648,7 @@ class SpillJoinCursor final : public Cursor {
     Tuple t;
     while (right_->Next(&t)) {
       if (mode_ == Mode::kBuilding) {
-        uint64_t b = ApproximateTupleBytes(t) + kTupleOverhead;
-        if (charge_.TryCharge(b)) {
+        if (charge_.TryChargeTuple(t)) {
           right_seq_.Append(std::move(t));
           continue;
         }
@@ -1989,9 +1983,8 @@ class SpillJoinCursor final : public Cursor {
     }
   }
 
-  /// In-memory and spooled-nested-loop probes via the shared loops — the
-  /// fits-in-memory byte-identity with the plain cursors holds because this
-  /// IS the plain cursors' code (nal/probe_loops.h).
+  /// In-memory and spooled-nested-loop probes via the shared loops
+  /// (nal/probe_loops.h).
   bool NextProbeLoop(Tuple* out) {
     switch (op_.kind) {
       case OpKind::kCross:
@@ -2104,30 +2097,65 @@ CursorPtr Annotate(std::string op_name, CursorPtr inner) {
                                            std::move(inner));
 }
 
-}  // namespace
+/// A breaker whose own subscripts contain Ξ pins the exact interleaving of
+/// subscript evaluation with input pulls, and spilling would reorder it:
+/// the grace join drains its probe side before any residual runs, and the
+/// spilled Γ aggregates every group during Open. Such a breaker runs the
+/// same cursor over a private inert context (limit 0), so it buffers in RAM
+/// whatever the run's budget. This is chosen from the plan, not the budget.
+class NoSpillCursor final : public Cursor {
+ public:
+  template <typename Make>
+  NoSpillCursor(const ExecContext& ctx, Make&& make)
+      : inert_(0), ctx_{ctx.ev, ctx.env, ctx.stream, &inert_} {
+    inner_ = make(ctx_);
+  }
+  void Open() override { inner_->Open(); }
+  bool Next(Tuple* out) override { return inner_->Next(out); }
+  void Close() override { inner_->Close(); }
 
-bool SpillEnabled(const ExecContext& ctx) {
-  return ctx.spool != nullptr && ctx.spool->enabled();
+ private:
+  SpoolContext inert_;
+  ExecContext ctx_;
+  CursorPtr inner_;
+};
+
+/// Builds breaker `op`'s cursor as `make(ctx)` — over a NoSpillCursor's
+/// inert context when the subscripts contain Ξ — annotated with the
+/// operator's name.
+template <typename Make>
+CursorPtr MakeBreaker(const AlgebraOp& op, ExecContext& ctx, Make&& make) {
+  CursorPtr c;
+  if (SubscriptsContainXi(op)) {
+    c = std::make_unique<NoSpillCursor>(ctx, make);
+  } else {
+    c = make(ctx);
+  }
+  return Annotate(std::string(OpKindName(op.kind)), std::move(c));
 }
+
+}  // namespace
 
 CursorPtr MakeSpillSortCursor(const AlgebraOp& op, ExecContext& ctx,
                               CursorPtr input) {
-  return Annotate(std::string(OpKindName(op.kind)),
-                  std::make_unique<SpillSortCursor>(op, ctx, std::move(input)));
+  return MakeBreaker(op, ctx, [&](ExecContext& c) {
+    return std::make_unique<SpillSortCursor>(op, c, std::move(input));
+  });
 }
 
 CursorPtr MakeSpillGroupUnaryCursor(const AlgebraOp& op, ExecContext& ctx,
                                     CursorPtr input) {
-  return Annotate(
-      std::string(OpKindName(op.kind)),
-      std::make_unique<SpillGroupUnaryCursor>(op, ctx, std::move(input)));
+  return MakeBreaker(op, ctx, [&](ExecContext& c) {
+    return std::make_unique<SpillGroupUnaryCursor>(op, c, std::move(input));
+  });
 }
 
 CursorPtr MakeSpillJoinCursor(const AlgebraOp& op, ExecContext& ctx,
                               CursorPtr left, CursorPtr right) {
-  return Annotate(std::string(OpKindName(op.kind)),
-                  std::make_unique<SpillJoinCursor>(op, ctx, std::move(left),
-                                                    std::move(right)));
+  return MakeBreaker(op, ctx, [&](ExecContext& c) {
+    return std::make_unique<SpillJoinCursor>(op, c, std::move(left),
+                                             std::move(right));
+  });
 }
 
 CursorPtr MakeSpoolBufferCursor(ExecContext& ctx, CursorPtr input) {

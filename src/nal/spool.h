@@ -23,14 +23,14 @@
 //   * CseTable — the run-scoped store of common-subexpression results,
 //     shared by the consumer and every exchange worker, filled once per
 //     entry, charged to the budget and spilled like any other buffer;
-//   * spill-aware breaker cursors — drop-in replacements for the Sort,
-//     hash-join/semi/anti/outer/nest-join and unary-Γ cursors of cursor.cpp
-//     that buffer in RAM while the budget allows and grace-partition /
-//     external-sort once it runs out. With an unlimited budget the spill
-//     cursors are never built; with a finite budget but inputs that fit,
-//     they reproduce the in-memory cursors bit for bit (same output bytes,
-//     same EvalStats, same StreamStats charges) — asserted differentially
-//     by tests/spool_test.cpp.
+//   * spill-aware breaker cursors — the only Sort, hash-join/semi/anti/
+//     outer/nest-join, unary-Γ and order-pinning buffer cursors cursor.cpp
+//     builds. They buffer in RAM while the budget allows and
+//     grace-partition / external-sort once it runs out. An unlimited budget
+//     (an inert context) never runs out, and a budgeted run whose inputs
+//     fit takes the same code path, so both match bit for bit (same output
+//     bytes, same EvalStats, same StreamStats charges) — asserted
+//     differentially by tests/spool_test.cpp.
 //
 // Order preservation under spilling: grace hash builds partition both sides
 // by join-key hash, join each partition pair (recursively re-partitioning a
@@ -121,7 +121,8 @@ class MemoryBudget {
 /// parallel workers each get their own.
 class SpoolContext {
  public:
-  /// `budget_bytes` of 0 disables spilling (the context is inert).
+  /// `budget_bytes` of 0 disables spilling: the context is inert — it never
+  /// charges, never spills and never creates its directory.
   /// `dir` overrides the automatic temp directory (tests).
   explicit SpoolContext(uint64_t budget_bytes, std::string dir = {});
   /// Worker form: shares `shared` — the run's global accountant — instead
@@ -185,7 +186,7 @@ class SpoolContext {
   /// Budget from the NALQ_MEMORY_BUDGET_BYTES environment variable (0 when
   /// unset; malformed values throw — see nal/env_knobs.h), read once per
   /// process. The streaming/parallel entry points fall back to it when no
-  /// explicit spool is supplied, so every existing differential suite can
+  /// explicit budget is supplied, so every existing differential suite can
   /// run with spilling active under one environment setting (see
   /// .github/workflows/ci.yml).
   static uint64_t EnvBudgetBytes();
@@ -338,12 +339,11 @@ class ExternalSorter {
 };
 
 // ---------------------------------------------------------------------------
-// Spill-aware breaker cursors (built by cursor.cpp when the run carries a
-// finite budget and the operator's subscripts are Ξ-free)
+// Spill-aware breaker cursors: the serial pipeline breakers cursor.cpp
+// builds, under any budget. A breaker whose own subscripts contain Ξ runs
+// over a private inert context and never spills: spilling would reorder its
+// subscript evaluation relative to its input pulls.
 // ---------------------------------------------------------------------------
-
-/// True when `ctx` opts cursors into memory-bounded execution.
-bool SpillEnabled(const ExecContext& ctx);
 
 /// Grace admission policy: the level-0 partition count a spilling breaker
 /// opens. With no estimate (`est_build_bytes` <= 0, or larger than what a
@@ -372,9 +372,10 @@ CursorPtr MakeSpillGroupUnaryCursor(const AlgebraOp& op, ExecContext& ctx,
 CursorPtr MakeSpillJoinCursor(const AlgebraOp& op, ExecContext& ctx,
                               CursorPtr left, CursorPtr right);
 
-/// Spool-backed replacement for the order-pinning BufferCursor: buffers in
-/// RAM under the budget, overflows to a spool file, replays in order. Like
-/// BufferCursor it re-emits already-counted tuples.
+/// Order-pinning buffer (Ξ write order, cursor.cpp): drains its input on
+/// Open, buffering in RAM under the budget and overflowing to a spool file,
+/// then replays it in order. Not an operator: it re-emits already-counted
+/// tuples.
 CursorPtr MakeSpoolBufferCursor(ExecContext& ctx, CursorPtr input);
 
 }  // namespace nalq::nal

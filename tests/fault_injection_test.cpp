@@ -399,6 +399,10 @@ TEST(SchedulerFaultTest, ParallelRunSurfacesWorkerStartFailure) {
   Evaluator ev(store);
   ParallelOptions options;
   options.threads = pool.thread_count() + 1;  // forces pool growth
+  // An explicit budget wins over NALQ_MEMORY_BUDGET_BYTES; this one clamps
+  // no worker away (ResolveBudgetedThreads), so the run still asks the pool
+  // to grow under any environment setting.
+  options.memory_budget_bytes = options.threads * kMinWorkerBudgetBytes;
   RunExpectingError([&] { ExecuteParallel(ev, *plan, options); },
                     engine::ErrorCode::kBudgetExhausted);
 }

@@ -19,6 +19,7 @@
 
 #include "datagen/datagen.h"
 #include "engine/engine.h"
+#include "nal/analysis.h"
 #include "nal/cursor.h"
 #include "nal/eval.h"
 #include "nal/exchange.h"
@@ -486,6 +487,54 @@ TEST_F(SpoolOperatorTest, DeepPipelineWithMultipleBreakers) {
   }
 }
 
+TEST_F(SpoolOperatorTest, XiInASubscriptKeepsTheBreakerInMemory) {
+  // A join whose predicate evaluates nested algebra with a Ξ in it — the
+  // breaker buffers in RAM whatever the budget (spool.h), so a 64-byte
+  // budget reproduces the unlimited run without spilling. The same join
+  // with a Ξ-free range does spill at that budget.
+  Sequence xs;
+  for (int i = 0; i < 4; ++i) xs.Append(T({{"x", I(i)}}));
+  auto make_plan = [&](OpKind kind, bool with_xi) {
+    // ∃x ∈ σ_{x = B}(xs), optionally through Ξ writing "[x]" per match.
+    AlgebraPtr range = Select(MakeCmp(CmpOp::kEq, MakeAttrRef(Symbol("x")),
+                                      MakeAttrRef(Symbol("B"))),
+                              Table(xs));
+    if (with_xi) {
+      range = XiSimple({XiCommand::Literal("["), XiCommand::Var(Symbol("x")),
+                        XiCommand::Literal("]")},
+                       std::move(range));
+    }
+    ExprPtr pred = MakeAnd(
+        MakeCmp(CmpOp::kEq, MakeAttrRef(Symbol("A")),
+                MakeAttrRef(Symbol("C"))),
+        MakeQuant(QuantKind::kSome, Symbol("x"), std::move(range),
+                  MakeConst(Value(true))));
+    Sequence lhs = rng_.Make({"A", "B"}, 60, 4);
+    Sequence rhs = rng_.Make({"C", "D"}, 50, 4);
+    return kind == OpKind::kJoin
+               ? Join(std::move(pred), Table(std::move(lhs)),
+                      Table(std::move(rhs)))
+               : SemiJoin(std::move(pred), Table(std::move(lhs)),
+                          Table(std::move(rhs)));
+  };
+  for (OpKind kind : {OpKind::kJoin, OpKind::kSemiJoin}) {
+    SCOPED_TRACE(OpKindName(kind));
+    AlgebraPtr plan = make_plan(kind, /*with_xi=*/true);
+    ASSERT_TRUE(SubscriptsContainXi(*plan));
+    BudgetedRun reference = RunStreaming(store_, plan, 0);
+    BudgetedRun budgeted = RunStreaming(store_, plan, 64);
+    EXPECT_FALSE(reference.output.empty());
+    EXPECT_EQ(reference.output, budgeted.output);
+    EXPECT_TRUE(SeqEq(reference.result, budgeted.result));
+    EXPECT_TRUE(NonSpillStatsEq(reference.stats, budgeted.stats));
+    EXPECT_EQ(budgeted.stats.spill.spill_runs, 0u);
+
+    BudgetedRun xi_free =
+        RunStreaming(store_, make_plan(kind, /*with_xi=*/false), 64);
+    EXPECT_GT(xi_free.stats.spill.spill_runs, 0u);
+  }
+}
+
 TEST_F(SpoolOperatorTest, RandomizedPlansTimesBudgets) {
   std::mt19937 pick(99);
   for (int round = 0; round < 12; ++round) {
@@ -644,11 +693,15 @@ TEST(SpoolCleanupTest, NoSpillMeansNoDirectory) {
   testutil::RandomRelation rng(8);
   Sequence rows = rng.Make({"A"}, 20, 3);
   AlgebraPtr plan = SortBy({Symbol("A")}, Table(std::move(rows)));
-  SpoolContext spool(1u << 20);  // plenty: nothing spills
-  Evaluator ev(store);
-  ExecuteStreaming(ev, *plan, nullptr, &spool);
-  EXPECT_FALSE(spool.dir_created());
-  EXPECT_FALSE(ev.stats().spill.any());
+  // Unlimited (the inert context every budget-less run carries) and
+  // plenty: nothing spills either way.
+  for (uint64_t budget : {uint64_t{0}, uint64_t{1} << 20}) {
+    SpoolContext spool(budget);
+    Evaluator ev(store);
+    ExecuteStreaming(ev, *plan, nullptr, &spool);
+    EXPECT_FALSE(spool.dir_created()) << "budget=" << budget;
+    EXPECT_FALSE(ev.stats().spill.any()) << "budget=" << budget;
+  }
 }
 
 // ---------------------------------------------------------------------------

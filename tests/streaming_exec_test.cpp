@@ -475,5 +475,71 @@ TEST(StreamingPeakTest, JoinBuffersOnlyBuildSide) {
   EXPECT_EQ(stream.buffered_tuples, 0u);
 }
 
+/// Drains `plan` on an unlimited spool (see SortIsAPipelineBreaker) and
+/// asserts that the breakers held exactly `buffered` tuples at their peak
+/// and released every one of them on Close.
+void ExpectPeakBuffered(const AlgebraPtr& plan, uint64_t buffered) {
+  xml::Store store;
+  Evaluator ev(store);
+  StreamStats stream;
+  SpoolContext unlimited(0);
+  DrainStreaming(ev, *plan, &stream, &unlimited);
+  EXPECT_EQ(stream.peak_buffered, buffered);
+  EXPECT_EQ(stream.buffered_tuples, 0u);
+}
+
+TEST(StreamingPeakTest, GroupUnaryBuffersItsInput) {
+  testutil::RandomRelation rng(17);
+  const size_t kRows = 300;
+  for (CmpOp theta : {CmpOp::kEq, CmpOp::kLe}) {
+    SCOPED_TRACE(theta == CmpOp::kEq ? "=" : "<=");
+    AggSpec count;
+    count.kind = AggSpec::Kind::kCount;
+    ExpectPeakBuffered(GroupUnary(Symbol("G"), theta, {Symbol("A")}, count,
+                                  Table(rng.Make({"A", "B"}, kRows, 6))),
+                       kRows);
+  }
+}
+
+TEST(StreamingPeakTest, GroupBinaryBuffersOnlyBuildSide) {
+  testutil::RandomRelation rng(19);
+  const size_t kRight = 40;
+  AggSpec count;
+  count.kind = AggSpec::Kind::kCount;
+  ExpectPeakBuffered(
+      GroupBinary(Symbol("G"), {Symbol("A")}, CmpOp::kEq, {Symbol("C")},
+                  count, Table(rng.Make({"A"}, 500, 6)),
+                  Table(rng.Make({"C", "D"}, kRight, 6))),
+      kRight);
+}
+
+TEST(StreamingPeakTest, OuterJoinBuffersOnlyBuildSide) {
+  testutil::RandomRelation rng(23);
+  const size_t kRight = 30;
+  ExpectPeakBuffered(
+      OuterJoin(MakeCmp(CmpOp::kEq, MakeAttrRef(Symbol("A")),
+                        MakeAttrRef(Symbol("C"))),
+                Symbol("D"), MakeConst(I(0)), Table(rng.Make({"A"}, 500, 6)),
+                Table(rng.Make({"C", "D"}, kRight, 6))),
+      kRight);
+}
+
+TEST(StreamingPeakTest, XiInBothJoinOperandsPinsTheLeftInput) {
+  // The order-pinning buffer drains the left operand before the build side
+  // is read (XiInBothJoinOperandsKeepsWriteOrder), so both are resident at
+  // once.
+  testutil::RandomRelation rng(29);
+  const size_t kLeft = 60;
+  const size_t kRight = 25;
+  ExpectPeakBuffered(
+      Join(MakeCmp(CmpOp::kEq, MakeAttrRef(Symbol("A")),
+                   MakeAttrRef(Symbol("C"))),
+           XiSimple({XiCommand::Literal("L")},
+                    Table(rng.Make({"A"}, kLeft, 4))),
+           XiSimple({XiCommand::Literal("R")},
+                    Table(rng.Make({"C"}, kRight, 4)))),
+      kLeft + kRight);
+}
+
 }  // namespace
 }  // namespace nalq::nal
