@@ -9,6 +9,7 @@
 #include <thread>
 
 #include "rewrite/unnester.h"
+#include "xquery/translate.h"
 
 namespace nalq::bench {
 
@@ -430,6 +431,16 @@ std::string FormatSeconds(double s) {
     std::snprintf(buf, sizeof(buf), "%.4f s", s);
   }
   return buf;
+}
+
+nal::AlgebraPtr RowPlan(const engine::Engine& engine,
+                        const engine::CompiledQuery& q,
+                        const std::string& rule) {
+  if (rule == kPaperNested) {
+    return xquery::Translate(q.normalized, &engine.dtds());
+  }
+  const rewrite::Alternative* alt = q.Find(rule);
+  return alt != nullptr ? alt->plan : nullptr;
 }
 
 std::string Extrapolated(double seconds) {

@@ -3,8 +3,12 @@
 //
 // Each bench binary regenerates one table of the paper's Sec. 5. Absolute
 // times differ from the 2003 testbed (Natix on a 2.4 GHz P4); the reported
-// *shape* — nested plans scale quadratically, unnested plans linearly, who
-// wins by what factor — is the reproduction target (see EXPERIMENTS.md).
+// *shape* — the paper's nested plans scale quadratically, unnested plans
+// linearly, who wins by what factor — is the reproduction target (see
+// EXPERIMENTS.md). Tables with a nested plan print it twice: "nested
+// (paper)" is the unmarked translation the paper measures, "nested
+// (engine)" the plan Engine::Compile hands out, whose invariant subscript
+// parts are computed once per run and probed by key.
 #ifndef NALQ_BENCH_BENCH_COMMON_H_
 #define NALQ_BENCH_BENCH_COMMON_H_
 
@@ -172,6 +176,20 @@ struct Row {
 void PrintTable(const std::string& title, const std::string& parameter_name,
                 const std::vector<std::string>& column_headers,
                 const std::vector<Row>& rows);
+
+/// Row rule of the paper's nested baseline: the unmarked Fig. 3
+/// translation (xquery::Translate), with no invariant reuse and no keyed
+/// probes. Its cells above 1000 are extrapolated quadratically unless
+/// --full; the "nested" alternative — the engine's compiled plan — is
+/// measured at every size.
+inline constexpr char kPaperNested[] = "nested-paper";
+
+/// The plan a table row measures: the paper baseline for kPaperNested,
+/// otherwise the alternative of `q` whose rule contains `rule` (null when
+/// there is none).
+nal::AlgebraPtr RowPlan(const engine::Engine& engine,
+                        const engine::CompiledQuery& q,
+                        const std::string& rule);
 
 /// Quadratic extrapolation marker for cells too slow to measure directly
 /// (the paper itself stops measuring the nested plan on DBLP, Sec. 5.1).

@@ -24,12 +24,13 @@ int main(int argc, char** argv) {
   bool full = bench::FullRuns(argc, argv);
   const std::vector<size_t> sizes = {100, 1000, 10000};
   const std::vector<std::pair<std::string, std::string>> plans = {
-      {"nested", "nested"},
+      {"nested (paper)", bench::kPaperNested},
+      {"nested (engine)", "nested"},
       {"semijoin", "eqv6-semijoin"},
   };
   std::printf(
       "E3: Query 1.1.9.5 (books with reviews), paper Sec. 5.3\n"
-      "plans: nested | semijoin (Eqv.6)\n");
+      "plans: nested (paper) | nested (engine) | semijoin (Eqv.6)\n");
   std::vector<bench::Row> rows;
   for (const auto& [label, rule] : plans) {
     bench::Row row;
@@ -41,18 +42,18 @@ int main(int argc, char** argv) {
       bench::LoadBibAndReviews(&engine, size);
       engine::CompiledQuery q = engine.Compile(kQuery);
       bench::RecordPlanEstimates(q, "E3", std::to_string(size), &engine);
-      const rewrite::Alternative* alt = q.Find(rule);
-      if (alt == nullptr) {
+      nal::AlgebraPtr plan = bench::RowPlan(engine, q, rule);
+      if (plan == nullptr) {
         row.cells.push_back("n/a");
         continue;
       }
-      if (rule == "nested" && size > 1000 && !full) {
+      if (rule == bench::kPaperNested && size > 1000 && !full) {
         double ratio = static_cast<double>(size) /
                        static_cast<double>(previous_size);
         row.cells.push_back(bench::Extrapolated(previous * ratio * ratio));
         continue;
       }
-      double s = bench::TimePlanRecorded(engine, alt->plan, "E3", label,
+      double s = bench::TimePlanRecorded(engine, plan, "E3", label,
                                          "", std::to_string(size));
       previous = s;
       previous_size = size;

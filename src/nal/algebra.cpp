@@ -59,6 +59,7 @@ AlgebraPtr AlgebraOp::Clone() const {
   out->distinct = distinct;
   out->outer = outer;
   out->cse_id = cse_id;
+  out->probe = probe;
   auto clone_program = [](const XiProgram& program) {
     XiProgram out_program;
     out_program.reserve(program.size());

@@ -110,6 +110,18 @@ struct AlgebraOp {
   /// env-independent, Ξ-free subtrees.
   int cse_id = -1;
 
+  /// Keyed probe (σ only; set by rewrite/invariants.h): the child is a CSE
+  /// node and `pred` has the conjunct `probe.entry_attr = probe.outer_attr`,
+  /// where the outer attribute is bound by the enclosing tuple. The
+  /// evaluator then looks the outer value up in the entry's hash index and
+  /// evaluates `pred` on those candidates only (src/nal/README.md,
+  /// "Keyed probes").
+  struct KeyedProbe {
+    Symbol entry_attr;  ///< attribute of the CSE entry's tuples
+    Symbol outer_attr;  ///< free variable the outer tuple binds
+    bool active() const { return !entry_attr.empty(); }
+  } probe;
+
   AlgebraPtr Clone() const;
   const AlgebraPtr& child(size_t i) const { return children[i]; }
 };

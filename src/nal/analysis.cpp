@@ -1,6 +1,7 @@
 #include "nal/analysis.h"
 
 #include <algorithm>
+#include <string_view>
 
 namespace nalq::nal {
 
@@ -227,6 +228,103 @@ SymbolSet FreeVars(const AlgebraOp& op) {
     }
   }
   return free;
+}
+
+namespace {
+
+/// True if a nested sequence of `op`'s tuples may flatten to a typed number
+/// under general comparison.
+bool AnyTypedNumber(const AlgebraOp& op, const SymbolSet& numbers) {
+  return !numbers.empty() && !Disjoint(OutputAttrs(op).attrs, numbers);
+}
+
+bool IsNumericAgg(AggSpec::Kind kind) {
+  return kind != AggSpec::Kind::kId && kind != AggSpec::Kind::kProjectItems;
+}
+
+bool MayBeTypedNumber(const Expr& e, const SymbolSet& numbers) {
+  switch (e.kind) {
+    case ExprKind::kConst:
+      return e.literal.is_numeric();
+    case ExprKind::kAttrRef:
+      return numbers.count(e.attr) != 0;
+    case ExprKind::kArith:
+      return true;
+    case ExprKind::kFnCall:
+      for (std::string_view fn : {"decimal", "number", "count", "sum", "avg",
+                                  "min", "max", "string-length"}) {
+        if (e.fn == fn) return true;
+      }
+      // distinct-values keeps its items' types; the other built-ins yield
+      // nodes, strings or booleans.
+      return e.fn == "distinct-values" && !e.children.empty() &&
+             MayBeTypedNumber(*e.children[0], numbers);
+    case ExprKind::kAgg:
+      return IsNumericAgg(e.agg.kind) ||
+             MayBeTypedNumber(*e.children[0], numbers);
+    case ExprKind::kNestedAlg:
+      return AnyTypedNumber(*e.alg, numbers);
+    case ExprKind::kBindTuples:
+      return MayBeTypedNumber(*e.children[0], numbers);
+    case ExprKind::kCond:
+      return MayBeTypedNumber(*e.children[1], numbers) ||
+             MayBeTypedNumber(*e.children[2], numbers);
+    default:  // paths yield nodes; comparisons and quantifiers booleans
+      return false;
+  }
+}
+
+void CollectTypedNumbers(const AlgebraOp& op, SymbolSet* numbers);
+
+void CollectTypedNumbersExpr(const Expr& e, SymbolSet* numbers) {
+  if (e.alg != nullptr) CollectTypedNumbers(*e.alg, numbers);
+  if (e.agg.filter != nullptr) CollectTypedNumbersExpr(*e.agg.filter, numbers);
+  for (const ExprPtr& c : e.children) CollectTypedNumbersExpr(*c, numbers);
+}
+
+void CollectTypedNumbers(const AlgebraOp& op, SymbolSet* numbers) {
+  for (const AlgebraPtr& c : op.children) CollectTypedNumbers(*c, numbers);
+  ForEachSubscript(op,
+                   [&](const Expr& e) { CollectTypedNumbersExpr(e, numbers); });
+  auto group_may_be_number = [&](const AlgebraOp& input) {
+    if (IsNumericAgg(op.agg.kind)) return true;
+    if (op.agg.kind == AggSpec::Kind::kProjectItems) {
+      return numbers->count(op.agg.project) != 0;
+    }
+    return AnyTypedNumber(input, *numbers);
+  };
+  switch (op.kind) {
+    case OpKind::kMap:
+    case OpKind::kUnnestMap:
+      if (MayBeTypedNumber(*op.expr, *numbers)) numbers->insert(op.attr);
+      break;
+    case OpKind::kOuterJoin:
+      if (op.expr != nullptr && MayBeTypedNumber(*op.expr, *numbers)) {
+        numbers->insert(op.attr);
+      }
+      break;
+    case OpKind::kProject:
+      for (const auto& [to, from] : op.renames) {
+        if (numbers->count(from) != 0) numbers->insert(to);
+      }
+      break;
+    case OpKind::kGroupUnary:
+      if (group_may_be_number(*op.child(0))) numbers->insert(op.attr);
+      break;
+    case OpKind::kGroupBinary:
+      if (group_may_be_number(*op.child(1))) numbers->insert(op.attr);
+      break;
+    default:
+      break;
+  }
+}
+
+}  // namespace
+
+SymbolSet TypedNumberAttrs(const AlgebraOp& op) {
+  SymbolSet numbers;
+  CollectTypedNumbers(op, &numbers);
+  return numbers;
 }
 
 bool ContainsXiExpr(const Expr& e) {

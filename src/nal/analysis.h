@@ -38,6 +38,19 @@ SymbolSet FreeVars(const AlgebraOp& op);
 /// from the operator's input.
 SymbolSet FreeVarsExpr(const Expr& e, const SymbolSet& bound);
 
+/// Attributes that `op` or any operator below it — algebra nested in
+/// subscripts included — may bind to a typed number: χ/Υ/outer-join
+/// defaults over arithmetic, a numeric literal, `decimal`, `number`,
+/// `count`, `sum`, `avg`, `min`, `max` or `string-length`, numeric Γ
+/// aggregates (and the nested sequences of groups over such attributes),
+/// followed through aliases and Π renames. XQuery general `=` promotes the
+/// other operand of a typed number to a number (`12.5 = "12.50"`), which a
+/// hash on the atomized value cannot follow, so a conjunct over one of these
+/// attributes is never a hash key. Literal relations (kConst tuple
+/// sequences) are not inspected: their values are typed by whoever wrote
+/// them, and both sides of a key between two such literals are typed alike.
+SymbolSet TypedNumberAttrs(const AlgebraOp& op);
+
 /// True if evaluating the subtree can write to the Ξ output stream: it
 /// contains a Ξ operator, or a subscript expression anywhere in it nests
 /// algebra that does.

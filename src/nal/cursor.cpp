@@ -704,7 +704,7 @@ SharedJoinBuildPtr BuildSharedJoin(const AlgebraOp& op, ExecContext& ctx) {
   b->right = Materialize(*right);
   if (ctx.stream != nullptr) ctx.stream->OnBuffer(b->right.size());
   if (op.kind == OpKind::kGroupBinary) {
-    if (op.theta == CmpOp::kEq) {
+    if (HashedNestJoin(op)) {
       b->index.Build(b->right, op.right_attrs, ctx.ev->store());
       b->indexed = true;
     } else if (op.left_attrs.size() != 1) {
@@ -713,9 +713,7 @@ SharedJoinBuildPtr BuildSharedJoin(const AlgebraOp& op, ExecContext& ctx) {
                           "GroupBinary");
     }
   } else if (op.kind != OpKind::kCross) {
-    SymbolSet lattrs = OutputAttrs(*op.child(0)).attrs;
-    SymbolSet rattrs = OutputAttrs(*op.child(1)).attrs;
-    b->equi = ExtractEquiPredicate(op.pred, lattrs, rattrs);
+    b->equi = JoinEquiPredicate(op);
     if (b->equi.has_value()) {
       b->index.Build(b->right, b->equi->right_attrs, ctx.ev->store());
       b->indexed = true;

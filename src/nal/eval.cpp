@@ -490,6 +490,23 @@ Value Evaluator::EvalPathExpr(const Expr& e, const Tuple& local,
 // Operators
 // ---------------------------------------------------------------------------
 
+namespace {
+
+/// The CSE entry of `op` (cse_id >= 0) in `table`, filled from `eval()` if
+/// no evaluation in the run has filled it yet. A CSE node has no free
+/// variables, so the outer bindings cannot change its result: the first
+/// evaluation in the run computes and counts it, every later one (any
+/// outer tuple, any worker) re-reads the table uncounted.
+template <typename EvalFn>
+const CseTable::Entry& CseEntry(CseTable& table, const AlgebraOp& op,
+                                SpillStats* spill, EvalFn&& eval) {
+  return table.Get(op.cse_id, spill, [&](const CseTable::Sink& sink) {
+    for (Tuple& t : eval()) sink(std::move(t));
+  });
+}
+
+}  // namespace
+
 Sequence Evaluator::Eval(const AlgebraOp& op) {
   xml::StoreReadLease lease(store_);  // single-writer contract (store.h)
   CseTable cse(nullptr);
@@ -513,13 +530,8 @@ const Sequence& Evaluator::EvalOpForRead(const AlgebraOp& op,
   if (op.cse_id < 0 || cse_ == nullptr) {
     return *scratch = EvalOpUncached(op, env);
   }
-  // A CSE node has no free variables, so `env` cannot change its result:
-  // the first evaluation in the run computes and counts it, every later
-  // one (any outer tuple, any worker) re-reads the table uncounted.
-  const CseTable::Entry& entry =
-      cse_->Get(op.cse_id, &stats_.spill, [&](const CseTable::Sink& sink) {
-        for (Tuple& t : EvalOpUncached(op, env)) sink(std::move(t));
-      });
+  const CseTable::Entry& entry = CseEntry(
+      *cse_, op, &stats_.spill, [&] { return EvalOpUncached(op, env); });
   if (const Sequence* resident = CseTable::Resident(entry)) return *resident;
   return *scratch = CseTable::Copy(entry);
 }
@@ -611,6 +623,9 @@ Sequence Evaluator::EvalOpUncached(const AlgebraOp& op, const Tuple& env) {
 }
 
 Sequence Evaluator::EvalSelect(const AlgebraOp& op, const Tuple& env) {
+  if (op.probe.active() && op.child(0)->cse_id >= 0 && cse_ != nullptr) {
+    return EvalKeyedSelect(op, env);
+  }
   Sequence scratch;
   const Sequence& input = EvalOpForRead(*op.child(0), env, &scratch);
   const bool owned = &input == &scratch;
@@ -618,6 +633,43 @@ Sequence Evaluator::EvalSelect(const AlgebraOp& op, const Tuple& env) {
   for (size_t i = 0; i < input.size(); ++i) {
     if (!EvalPred(*op.pred, input[i], env)) continue;
     out.Append(owned ? std::move(scratch[i]) : input[i]);
+  }
+  return out;
+}
+
+Sequence Evaluator::EvalKeyedSelect(const AlgebraOp& op, const Tuple& env) {
+  // The caller's EvalOpForRead polled cancellation, so a σ whose probes
+  // find nothing still stops promptly.
+  const AlgebraOp& input = *op.child(0);
+  const CseTable::Entry& entry = CseEntry(
+      *cse_, input, &stats_.spill, [&] { return EvalOpUncached(input, env); });
+  const CseTable::KeyIndex& index =
+      cse_->Index(entry, op.probe.entry_attr, store_);
+  std::vector<uint32_t> candidates;
+  bool every = false;
+  CseTable::Candidates(index, env.Get(op.probe.outer_attr), store_,
+                       &candidates, &every);
+  // The full predicate decides, in entry order, so the output is the
+  // scan's; only the positions no `=` can match are skipped.
+  Sequence out;
+  if (const Sequence* resident = CseTable::Resident(entry)) {
+    size_t n = every ? resident->size() : candidates.size();
+    for (size_t i = 0; i < n; ++i) {
+      const Tuple& t = (*resident)[every ? i : candidates[i]];
+      if (EvalPred(*op.pred, t, env)) out.Append(t);
+    }
+    return out;
+  }
+  CseTable::Reader reader(entry);
+  Tuple t;
+  size_t next = 0;
+  for (uint32_t pos = 0; every || next < candidates.size(); ++pos) {
+    if (!reader.Next(&t)) break;
+    if (!every) {
+      if (candidates[next] != pos) continue;
+      ++next;
+    }
+    if (EvalPred(*op.pred, t, env)) out.Append(std::move(t));
   }
   return out;
 }
@@ -761,10 +813,7 @@ Sequence Evaluator::EvalCrossJoin(const AlgebraOp& op, const Tuple& env) {
   Sequence right = EvalOp(*op.child(1), env);
   Sequence out;
   if (op.kind == OpKind::kJoin) {
-    SymbolSet lattrs = OutputAttrs(*op.child(0)).attrs;
-    SymbolSet rattrs = OutputAttrs(*op.child(1)).attrs;
-    std::optional<EquiPredicate> equi =
-        ExtractEquiPredicate(op.pred, lattrs, rattrs);
+    std::optional<EquiPredicate> equi = JoinEquiPredicate(op);
     if (equi.has_value()) {
       HashIndex index;
       index.Build(right, equi->right_attrs, store_);
@@ -800,10 +849,7 @@ Sequence Evaluator::EvalSemiAntiJoin(const AlgebraOp& op, const Tuple& env) {
   Sequence right = EvalOp(*op.child(1), env);
   bool anti = op.kind == OpKind::kAntiJoin;
   Sequence out;
-  SymbolSet lattrs = OutputAttrs(*op.child(0)).attrs;
-  SymbolSet rattrs = OutputAttrs(*op.child(1)).attrs;
-  std::optional<EquiPredicate> equi =
-      ExtractEquiPredicate(op.pred, lattrs, rattrs);
+  std::optional<EquiPredicate> equi = JoinEquiPredicate(op);
   if (equi.has_value()) {
     HashIndex index;
     index.Build(right, equi->right_attrs, store_);
@@ -855,10 +901,7 @@ Sequence Evaluator::EvalOuterJoin(const AlgebraOp& op, const Tuple& env) {
     t.Set(op.attr, dflt);
     out.Append(std::move(t));
   };
-  SymbolSet lattrs = OutputAttrs(*op.child(0)).attrs;
-  SymbolSet rattrs = OutputAttrs(*op.child(1)).attrs;
-  std::optional<EquiPredicate> equi =
-      ExtractEquiPredicate(op.pred, lattrs, rattrs);
+  std::optional<EquiPredicate> equi = JoinEquiPredicate(op);
   if (equi.has_value()) {
     HashIndex index;
     index.Build(right, equi->right_attrs, store_);
@@ -950,7 +993,7 @@ Sequence Evaluator::EvalGroupBinary(const AlgebraOp& op, const Tuple& env) {
   Sequence right = EvalOp(*op.child(1), env);
   Sequence out;
   out.Reserve(left.size());
-  if (op.theta == CmpOp::kEq) {
+  if (HashedNestJoin(op)) {
     HashIndex index;
     index.Build(right, op.right_attrs, store_);
     std::vector<Key> keys;

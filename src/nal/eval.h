@@ -8,7 +8,11 @@
 // Engine::Compile marks every maximal subscript subtree without free
 // variables as a CSE node (rewrite/invariants.h), and such a node is
 // computed once per run into the run's CseTable (nal/spool.h) and re-read
-// from there by every later evaluation, on every executor and worker.
+// from there by every later evaluation, on every executor and worker. A
+// correlated σ over such a node whose predicate has an `entry = outer`
+// conjunct is keyed by the same pass (AlgebraOp::probe): it looks the outer
+// value up in the entry's hash index and evaluates its predicate on the
+// candidates only, so predicate_evals count verified candidates.
 #ifndef NALQ_NAL_EVAL_H_
 #define NALQ_NAL_EVAL_H_
 
@@ -208,6 +212,11 @@ class Evaluator {
   /// EvalOp without the CSE lookup: evaluates and counts `op` itself.
   Sequence EvalOpUncached(const AlgebraOp& op, const Tuple& env);
   Sequence EvalSelect(const AlgebraOp& op, const Tuple& env);
+  /// σ with a keyed probe (AlgebraOp::probe): evaluates the predicate on
+  /// the entry positions CseTable::Candidates returns for the outer value
+  /// only, in entry order — the scan's output, with predicate_evals
+  /// counting the verified candidates.
+  Sequence EvalKeyedSelect(const AlgebraOp& op, const Tuple& env);
   Sequence EvalProject(const AlgebraOp& op, const Tuple& env);
   Sequence EvalMap(const AlgebraOp& op, const Tuple& env);
   Sequence EvalUnnestMap(const AlgebraOp& op, const Tuple& env);

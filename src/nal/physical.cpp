@@ -136,9 +136,9 @@ void FlattenConjuncts(const ExprPtr& pred, std::vector<ExprPtr>* out) {
 
 }  // namespace
 
-std::optional<EquiPredicate> ExtractEquiPredicate(const ExprPtr& pred,
-                                                  const SymbolSet& left,
-                                                  const SymbolSet& right) {
+std::optional<EquiPredicate> ExtractEquiPredicate(
+    const ExprPtr& pred, const SymbolSet& left, const SymbolSet& right,
+    const SymbolSet& typed_numbers) {
   std::vector<ExprPtr> conjuncts;
   FlattenConjuncts(pred, &conjuncts);
   EquiPredicate out;
@@ -149,6 +149,10 @@ std::optional<EquiPredicate> ExtractEquiPredicate(const ExprPtr& pred,
         c->children[1]->kind == ExprKind::kAttrRef) {
       Symbol a = c->children[0]->attr;
       Symbol b = c->children[1]->attr;
+      if (typed_numbers.count(a) != 0 || typed_numbers.count(b) != 0) {
+        residual.push_back(c);
+        continue;
+      }
       if (left.count(a) != 0 && right.count(b) != 0) {
         out.left_attrs.push_back(a);
         out.right_attrs.push_back(b);
@@ -167,6 +171,20 @@ std::optional<EquiPredicate> ExtractEquiPredicate(const ExprPtr& pred,
     out.residual = out.residual == nullptr ? r : MakeAnd(out.residual, r);
   }
   return out;
+}
+
+std::optional<EquiPredicate> JoinEquiPredicate(const AlgebraOp& op) {
+  return ExtractEquiPredicate(op.pred, OutputAttrs(*op.child(0)).attrs,
+                              OutputAttrs(*op.child(1)).attrs,
+                              TypedNumberAttrs(op));
+}
+
+bool HashedNestJoin(const AlgebraOp& op) {
+  if (op.theta != CmpOp::kEq) return false;
+  if (op.left_attrs.size() != 1) return true;
+  SymbolSet typed = TypedNumberAttrs(op);
+  return typed.count(op.left_attrs[0]) == 0 &&
+         typed.count(op.right_attrs[0]) == 0;
 }
 
 }  // namespace nalq::nal

@@ -94,11 +94,26 @@ struct EquiPredicate {
 };
 
 /// Extracts `l.a = r.b ∧ ...` conjuncts from `pred` given the attribute sets
-/// of the two operands. Returns nullopt if no equality conjunct exists (the
-/// evaluator then falls back to the nested-loop definition).
-std::optional<EquiPredicate> ExtractEquiPredicate(const ExprPtr& pred,
-                                                  const SymbolSet& left,
-                                                  const SymbolSet& right);
+/// of the two operands. A conjunct over an attribute in `typed_numbers`
+/// (TypedNumberAttrs) stays in the residual: general `=` compares it
+/// numerically, which a hash key cannot. Returns nullopt if no equality
+/// conjunct exists (the evaluator then falls back to the nested-loop
+/// definition).
+std::optional<EquiPredicate> ExtractEquiPredicate(
+    const ExprPtr& pred, const SymbolSet& left, const SymbolSet& right,
+    const SymbolSet& typed_numbers = {});
+
+/// ExtractEquiPredicate for a join-family operator's predicate over its two
+/// children, with TypedNumberAttrs(op) as the excluded set — the one key
+/// detection every executor and the cost model share.
+std::optional<EquiPredicate> JoinEquiPredicate(const AlgebraOp& op);
+
+/// True if a binary Γ (nest-join) hashes its key: θ is `=` and no
+/// single-attribute key may hold a typed number. A typed single-attribute
+/// key runs the θ loop with general `=` instead, which compares it
+/// numerically; the loop takes one attribute only, so a multi-attribute key
+/// is always hashed.
+bool HashedNestJoin(const AlgebraOp& op);
 
 }  // namespace nalq::nal
 

@@ -113,6 +113,10 @@ std::string OpHeadline(const AlgebraOp& op) {
       break;
   }
   if (op.cse_id >= 0) os << " (cse#" << op.cse_id << ")";
+  if (op.probe.active()) {
+    os << " (probe cse#" << op.child(0)->cse_id << " on "
+       << op.probe.outer_attr.str() << ")";
+  }
   return os.str();
 }
 

@@ -780,17 +780,140 @@ PartitionSet MakePartitionSet(SpoolContext* ctx, SpillStats* stats,
 // CseTable
 // ---------------------------------------------------------------------------
 
+namespace {
+
+/// The keys general `=` can hash: one per distinct atomized item of `v`
+/// (FlattenToItems, then atomization), sorted. False when an item is a
+/// typed number, which general `=` compares numerically.
+bool ItemHashes(const Value& v, const xml::Store& store,
+                std::vector<uint64_t>* out) {
+  out->clear();
+  auto add = [&](const Value& item) {
+    Value atom = item.Atomize(store);
+    if (atom.is_numeric()) return false;
+    out->push_back(atom.Hash());
+    return true;
+  };
+  if (!v.is_sequence()) {  // one item (or none): the per-probe hot path
+    return v.is_null() || add(v);
+  }
+  ItemSeq items;
+  FlattenToItems(v, &items);
+  for (const Value& item : items) {
+    if (!add(item)) return false;
+  }
+  std::sort(out->begin(), out->end());
+  out->erase(std::unique(out->begin(), out->end()), out->end());
+  return true;
+}
+
+/// True if the sorted hash lists `a` and `b` share an element.
+bool SharesHash(const std::vector<uint64_t>& a,
+                const std::vector<uint64_t>& b) {
+  size_t i = 0;
+  size_t j = 0;
+  while (i < a.size() && j < b.size()) {
+    if (a[i] == b[j]) return true;
+    if (a[i] < b[j]) {
+      ++i;
+    } else {
+      ++j;
+    }
+  }
+  return false;
+}
+
+/// Calls `fn(tuple)` on the tuples of `spool` in order until it returns
+/// false.
+template <typename Fn>
+void ForEachTuple(TupleSpool* spool, Fn&& fn) {
+  if (const Sequence* resident = spool->resident()) {
+    for (const Tuple& t : *resident) {
+      if (!fn(t)) return;
+    }
+    return;
+  }
+  TupleSpool::Reader reader = spool->NewReader();
+  Tuple t;
+  while (reader.Next(&t) && fn(t)) {
+  }
+}
+
+}  // namespace
+
+class CseTable::KeyIndex {
+ public:
+  KeyIndex(const Entry& entry, Symbol attr) : entry(entry), attr(attr) {}
+  ~KeyIndex() { Drop(); }
+  KeyIndex(const KeyIndex&) = delete;
+  KeyIndex& operator=(const KeyIndex&) = delete;
+
+  /// Hashes every tuple of the entry; keeps the (hash, position) pairs
+  /// while the budget admits them.
+  void Build(const xml::Store& store);
+  /// Releases the pairs and their charge.
+  void Drop() {
+    if (budget != nullptr) budget->Release(charged);
+    charged = 0;
+    resident = false;
+    std::vector<std::pair<uint64_t, uint32_t>>().swap(pairs);
+  }
+
+  const Entry& entry;
+  const Symbol attr;
+  Latch latch;
+  // Written by the building thread only, read-only once the latch is ready.
+  bool typed = false;     ///< an entry item is a typed number: no keys
+  bool resident = false;  ///< `pairs` is held (and charged)
+  std::vector<std::pair<uint64_t, uint32_t>> pairs;  ///< sorted
+  MemoryBudget* budget = nullptr;
+  uint64_t charged = 0;
+};
+
 class CseTable::Entry {
  public:
-  // Guarded by CseTable::mu_.
-  bool filling = false;    ///< a fill is running
-  bool ready = false;      ///< filled; the members below never change again
-  std::thread::id filler;  ///< the filling thread
-  // Declared in this order so the buffer dies before the context whose
-  // directory and budget it uses.
+  Latch latch;  ///< the members below never change once it is ready
+  // Declared in this order so the buffer and the indexes die before the
+  // context whose directory and budget they use.
   std::unique_ptr<SpoolContext> ctx;
   std::unique_ptr<TupleSpool> tuples;
+  /// Keyed-probe indexes by attribute; the map is guarded by
+  /// CseTable::mu_, each index as KeyIndex says.
+  mutable std::map<Symbol, std::unique_ptr<KeyIndex>> indexes;
 };
+
+void CseTable::KeyIndex::Build(const xml::Store& store) {
+  budget = &entry.ctx->budget();
+  typed = false;
+  resident = true;
+  std::vector<uint64_t> hashes;
+  uint32_t pos = 0;
+  auto add = [&](const Tuple& t) {
+    if (!ItemHashes(t.Get(attr), store, &hashes)) {
+      typed = true;  // every probe scans: no key is needed
+      Drop();
+      return false;
+    }
+    if (resident) {
+      uint64_t bytes = hashes.size() * sizeof(pairs[0]);
+      if (budget->TryCharge(bytes)) {
+        charged += bytes;
+        for (uint64_t h : hashes) pairs.emplace_back(h, pos);
+      } else {
+        Drop();
+      }
+    }
+    ++pos;
+    return true;
+  };
+  try {
+    ForEachTuple(entry.tuples.get(), add);
+  } catch (...) {
+    Drop();  // a build that throws (cancellation, I/O) keeps no charge
+    throw;
+  }
+  std::sort(pairs.begin(), pairs.end());
+}
 
 struct CseTable::Reader::Impl {
   explicit Impl(const Entry& e) : reader(e.tuples.get(), /*consume=*/false) {}
@@ -801,27 +924,44 @@ CseTable::CseTable(SpoolContext* spool) : spool_(spool) {}
 
 CseTable::~CseTable() = default;
 
+template <typename Fn>
+bool CseTable::FillOnce(std::unique_lock<std::mutex>& lock, Latch& latch,
+                        Fn&& fill) {
+  filled_cv_.wait(lock, [&latch] { return !latch.busy; });
+  if (latch.ready) return false;
+  latch.busy = true;
+  latch.owner = std::this_thread::get_id();
+  lock.unlock();
+  try {
+    fill();
+  } catch (...) {
+    lock.lock();
+    latch.busy = false;
+    lock.unlock();
+    filled_cv_.notify_all();
+    throw;
+  }
+  lock.lock();
+  latch.ready = true;
+  latch.busy = false;
+  lock.unlock();
+  filled_cv_.notify_all();
+  return true;
+}
+
 const CseTable::Entry& CseTable::Get(int id, SpillStats* stats,
                                      const Fill& fill, bool* filled) {
-  if (filled != nullptr) *filled = false;
-  Entry* e = nullptr;
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    std::unique_ptr<Entry>& slot = entries_[id];
-    if (slot == nullptr) slot = std::make_unique<Entry>();
-    e = slot.get();
-    if (e->filling && e->filler == std::this_thread::get_id()) {
-      throw std::logic_error("CSE entry " + std::to_string(id) +
-                             " depends on itself");
-    }
-    filled_cv_.wait(lock, [e] { return !e->filling; });
-    if (e->ready) return *e;
-    e->filling = true;
-    e->filler = std::this_thread::get_id();
+  std::unique_lock<std::mutex> lock(mu_);
+  std::unique_ptr<Entry>& slot = entries_[id];
+  if (slot == nullptr) slot = std::make_unique<Entry>();
+  Entry* e = slot.get();
+  if (e->latch.busy && e->latch.owner == std::this_thread::get_id()) {
+    throw std::logic_error("CSE entry " + std::to_string(id) +
+                           " depends on itself");
   }
   // The fill runs outside the lock: it evaluates a whole subtree, which may
   // fill other entries on this thread.
-  try {
+  bool did = FillOnce(lock, e->latch, [&] {
     MemoryBudget& budget = spool_ != nullptr ? spool_->budget() : unlimited_;
     auto ctx = std::make_unique<SpoolContext>(budget);
     if (spool_ != nullptr) {
@@ -831,21 +971,10 @@ const CseTable::Entry& CseTable::Get(int id, SpillStats* stats,
     auto tuples = std::make_unique<TupleSpool>(ctx.get(), stats);
     fill([&tuples](Tuple t) { tuples->Append(std::move(t)); });
     tuples->FinishWrites();
-    std::lock_guard<std::mutex> lock(mu_);
     e->ctx = std::move(ctx);
     e->tuples = std::move(tuples);
-    e->ready = true;
-    e->filling = false;
-  } catch (...) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      e->filling = false;
-    }
-    filled_cv_.notify_all();
-    throw;
-  }
-  filled_cv_.notify_all();
-  if (filled != nullptr) *filled = true;
+  });
+  if (filled != nullptr) *filled = did;
   return *e;
 }
 
@@ -863,6 +992,49 @@ Sequence CseTable::Copy(const Entry& entry) {
   Tuple t;
   while (reader.Next(&t)) out.Append(std::move(t));
   return out;
+}
+
+const CseTable::KeyIndex& CseTable::Index(const Entry& entry, Symbol attr,
+                                          const xml::Store& store) {
+  std::unique_lock<std::mutex> lock(mu_);
+  std::unique_ptr<KeyIndex>& slot = entry.indexes[attr];
+  if (slot == nullptr) slot = std::make_unique<KeyIndex>(entry, attr);
+  KeyIndex* index = slot.get();
+  // The build only reads the entry, so it cannot re-enter the table.
+  FillOnce(lock, index->latch, [&] { index->Build(store); });
+  return *index;
+}
+
+void CseTable::Candidates(const KeyIndex& index, const Value& probe,
+                          const xml::Store& store, std::vector<uint32_t>* out,
+                          bool* every) {
+  out->clear();
+  std::vector<uint64_t> keys;
+  *every = index.typed || !ItemHashes(probe, store, &keys);
+  if (*every || keys.empty()) return;
+  if (index.resident) {
+    for (uint64_t h : keys) {
+      auto it = std::lower_bound(index.pairs.begin(), index.pairs.end(),
+                                 std::make_pair(h, uint32_t{0}));
+      for (; it != index.pairs.end() && it->first == h; ++it) {
+        out->push_back(it->second);
+      }
+    }
+    if (keys.size() > 1) {
+      std::sort(out->begin(), out->end());
+      out->erase(std::unique(out->begin(), out->end()), out->end());
+    }
+    return;
+  }
+  // The index did not fit the budget: hash the entry's tuples instead.
+  std::vector<uint64_t> row;
+  uint32_t pos = 0;
+  ForEachTuple(index.entry.tuples.get(), [&](const Tuple& t) {
+    ItemHashes(t.Get(index.attr), store, &row);
+    if (SharesHash(row, keys)) out->push_back(pos);
+    ++pos;
+    return true;
+  });
 }
 
 CseTable::Reader::Reader(const Entry& entry)
@@ -1539,7 +1711,7 @@ class SpillJoinCursor final : public Cursor {
     BuildRight();
     // Post-build checks and constants, in the materializing evaluator's
     // order.
-    if (op_.kind == OpKind::kGroupBinary && op_.theta != CmpOp::kEq &&
+    if (op_.kind == OpKind::kGroupBinary && !HashedNestJoin(op_) &&
         op_.left_attrs.size() != 1) {
       throw engine::Error(engine::ErrorCode::kPlanError,
                           "theta nest-join requires a single attribute", 0, {},
@@ -1624,14 +1796,11 @@ class SpillJoinCursor final : public Cursor {
       case OpKind::kJoin:
       case OpKind::kSemiJoin:
       case OpKind::kAntiJoin:
-      case OpKind::kOuterJoin: {
-        SymbolSet lattrs = OutputAttrs(*op_.child(0)).attrs;
-        SymbolSet rattrs = OutputAttrs(*op_.child(1)).attrs;
-        equi_ = ExtractEquiPredicate(op_.pred, lattrs, rattrs);
+      case OpKind::kOuterJoin:
+        equi_ = JoinEquiPredicate(op_);
         break;
-      }
       case OpKind::kGroupBinary:
-        if (op_.theta == CmpOp::kEq) {
+        if (HashedNestJoin(op_)) {
           EquiPredicate e;
           e.left_attrs = op_.left_attrs;
           e.right_attrs = op_.right_attrs;

@@ -22,7 +22,10 @@
 //     output (records carry a (key, seq) pair the merge orders by);
 //   * CseTable — the run-scoped store of common-subexpression results,
 //     shared by the consumer and every exchange worker, filled once per
-//     entry, charged to the budget and spilled like any other buffer;
+//     entry, charged to the budget and spilled like any other buffer, plus
+//     the hash index a keyed σ probes per (entry, key attribute), charged
+//     too and dropped (candidates recomputed per probe) when it does not
+//     fit;
 //   * spill-aware breaker cursors — the only Sort, hash-join/semi/anti/
 //     outer/nest-join, unary-Γ and order-pinning buffer cursors cursor.cpp
 //     builds. They buffer in RAM while the budget allows and
@@ -55,6 +58,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -221,9 +225,14 @@ class SpoolContext {
 /// fit it moves to a spool file in an entry-private directory (SpillStats of
 /// the filling evaluator record it) and every read replays the file. The
 /// charges are held until the table dies at the end of the run.
+///
+/// A keyed σ over an entry (AlgebraOp::probe) asks for the entry's
+/// KeyIndex on its key attribute, built once per (entry, attribute) under
+/// the same once-latch and shared read-only by every thread.
 class CseTable {
  public:
   class Entry;
+  class KeyIndex;
   using Sink = std::function<void(Tuple)>;
   using Fill = std::function<void(const Sink&)>;
 
@@ -249,6 +258,27 @@ class CseTable {
   /// The entry's tuples (read back from its spool file when spilled).
   static Sequence Copy(const Entry& entry);
 
+  /// The hash index of filled `entry` over `attr`: the hash of every
+  /// atomized item of a tuple's `attr` value (general `=` flattens
+  /// sequences, so a multi-valued attribute files the tuple under each
+  /// item) mapped to the tuple's entry position. The first caller builds
+  /// it; concurrent callers wait, and a build that throws leaves it unbuilt
+  /// for the next caller. It is charged to the run's budget like the entry
+  /// and, when it does not fit, dropped: candidates then come from hashing
+  /// a replay of the entry on every probe, so they are the same under every
+  /// budget.
+  const KeyIndex& Index(const Entry& entry, Symbol attr,
+                        const xml::Store& store);
+
+  /// The positions of `index`'s entry whose key attribute may be
+  /// general-`=` to `probe`, ascending: those sharing an item hash with
+  /// `probe` (none when `probe` is Null or empty). A typed number on either
+  /// side compares numerically, which no hash follows: then every position
+  /// is a candidate, `*every` is set and `*out` stays empty.
+  static void Candidates(const KeyIndex& index, const Value& probe,
+                         const xml::Store& store, std::vector<uint32_t>* out,
+                         bool* every);
+
   /// Sequential replay of one filled entry; any number of readers, on any
   /// threads, may coexist.
   class Reader {
@@ -263,9 +293,23 @@ class CseTable {
   };
 
  private:
+  /// Once-latch of an entry or an index; guarded by mu_.
+  struct Latch {
+    bool busy = false;      ///< a fill is running
+    bool ready = false;     ///< filled; the result never changes again
+    std::thread::id owner;  ///< the filling thread
+  };
+
+  /// Runs `fill()` for `latch` unless it is ready: the first caller fills,
+  /// concurrent callers wait for it, and a fill that throws leaves the
+  /// latch open for the next caller. Called with `lock` held on mu_;
+  /// `fill` runs without it. Returns whether this call filled.
+  template <typename Fn>
+  bool FillOnce(std::unique_lock<std::mutex>& lock, Latch& latch, Fn&& fill);
+
   SpoolContext* spool_;
   MemoryBudget unlimited_{0};
-  std::mutex mu_;  ///< guards entries_ and each entry's fill state
+  std::mutex mu_;  ///< guards entries_, every latch and every index map
   std::condition_variable filled_cv_;  ///< a fill finished or failed
   std::unordered_map<int, std::unique_ptr<Entry>> entries_;
 };

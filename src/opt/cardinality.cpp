@@ -479,15 +479,13 @@ OpEstimate CardinalityEstimator::EstimateOp(const AlgebraOp& op,
       // Key detection mirrors the executors (physical.h / spool.cpp).
       std::optional<nal::EquiPredicate> equi;
       if (op.kind == OpKind::kGroupBinary) {
-        if (op.theta == nal::CmpOp::kEq) {
+        if (nal::HashedNestJoin(op)) {
           equi.emplace();
           equi->left_attrs = op.left_attrs;
           equi->right_attrs = op.right_attrs;
         }
       } else if (op.pred != nullptr) {
-        equi = nal::ExtractEquiPredicate(
-            op.pred, nal::OutputAttrs(*op.child(0)).attrs,
-            nal::OutputAttrs(*op.child(1)).attrs);
+        equi = nal::JoinEquiPredicate(op);
       }
       double d_l = 0, d_r = 0;
       if (equi.has_value()) {

@@ -72,11 +72,8 @@ double SerialWithinSection(const PartitionPoint& point,
       serial += build_rows * k.tuple;
     } else if (seg->kind == OpKind::kGroupBinary) {
       serial += build_rows * k.hash_build;
-    } else if (seg->pred != nullptr) {
-      auto equi = nal::ExtractEquiPredicate(
-          seg->pred, nal::OutputAttrs(*seg->child(0)).attrs,
-          nal::OutputAttrs(*seg->child(1)).attrs);
-      if (equi.has_value()) serial += build_rows * k.hash_build;
+    } else if (seg->pred != nullptr && nal::JoinEquiPredicate(*seg)) {
+      serial += build_rows * k.hash_build;
     }
   }
   if (point.gamma != nullptr) {

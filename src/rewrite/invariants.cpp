@@ -1,9 +1,12 @@
 #include "rewrite/invariants.h"
 
 #include <algorithm>
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "nal/analysis.h"
+#include "nal/physical.h"
 
 namespace nalq::rewrite {
 
@@ -92,9 +95,11 @@ void SplitLeadingInvariants(AlgebraOp& op) {
 
 class Marker {
  public:
-  explicit Marker(int next_id) : next_id_(next_id) {}
+  Marker(int next_id, nal::SymbolSet typed_numbers)
+      : next_id_(next_id), typed_numbers_(std::move(typed_numbers)) {}
 
-  int marked() const { return marked_; }
+  /// True once a subtree was marked or a σ was keyed.
+  bool changed() const { return changed_; }
 
   /// An operator outside subscripts: evaluated once per run already, so
   /// only the algebra in its subscripts is considered.
@@ -115,16 +120,37 @@ class Marker {
     if (op.cse_id >= 0) return;  // already shared
     if (Invariant(op)) {
       op.cse_id = next_id_++;
-      ++marked_;
+      changed_ = true;
       return;
     }
     SplitLeadingInvariants(op);
     VisitSubscripts(op);
     for (const AlgebraPtr& c : op.children) VisitSubscriptAlg(*c);
+    KeyProbe(op);
+  }
+
+  /// σ over a CSE node whose predicate has an `entry_attr = outer_attr`
+  /// conjunct: the evaluator may look the outer value up in the entry's
+  /// hash index instead of scanning the entry. Never over a typed number
+  /// (general `=` compares those numerically) and never when the predicate
+  /// can write Ξ output, which skipping non-candidates would drop.
+  void KeyProbe(AlgebraOp& op) {
+    if (op.kind != OpKind::kSelect || op.child(0)->cse_id < 0 ||
+        nal::ContainsXiExpr(*op.pred)) {
+      return;
+    }
+    nal::SymbolSet entry = nal::OutputAttrs(*op.child(0)).attrs;
+    nal::SymbolSet outer = nal::FreeVarsExpr(*op.pred, entry);
+    std::optional<nal::EquiPredicate> equi =
+        nal::ExtractEquiPredicate(op.pred, entry, outer, typed_numbers_);
+    if (!equi.has_value()) return;
+    op.probe = {equi->left_attrs[0], equi->right_attrs[0]};
+    changed_ = true;
   }
 
   int next_id_;
-  int marked_ = 0;
+  const nal::SymbolSet typed_numbers_;
+  bool changed_ = false;
 };
 
 /// Largest cse_id anywhere in the plan, subscripts included (-1 if none).
@@ -154,9 +180,9 @@ bool HasSubscriptAlg(const AlgebraOp& op) {
 AlgebraPtr ShareInvariantSubscripts(const AlgebraPtr& plan) {
   if (!HasSubscriptAlg(*plan)) return plan;
   AlgebraPtr copy = plan->Clone();
-  Marker marker(MaxCseId(*copy) + 1);
+  Marker marker(MaxCseId(*copy) + 1, nal::TypedNumberAttrs(*copy));
   marker.VisitPlan(*copy);
-  return marker.marked() > 0 ? copy : plan;
+  return marker.changed() ? copy : plan;
 }
 
 }  // namespace nalq::rewrite

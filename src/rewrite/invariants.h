@@ -17,6 +17,15 @@
 // it was before (`and` evaluates left to right and stops at the first
 // false); a conjunct behind a correlated one stays where it is.
 //
+// The correlated σ left on top of a marked subtree usually has the shape
+// σ_{entry_attr = outer_attr ∧ …}(cse#N): it filters the cached entry by a
+// value of the outer tuple. The pass records that conjunct on the σ
+// (AlgebraOp::probe), and the evaluator then looks the outer value up in a
+// hash index over the entry instead of scanning all of it, verifying the
+// full predicate on the candidates only. The conjunct is chosen with
+// nal::ExtractEquiPredicate (entry attributes against the predicate's free
+// variables) and never over an attribute nal::TypedNumberAttrs lists.
+//
 // Correlated subtrees are left alone and keep their per-tuple evaluation;
 // operators outside subscripts (evaluated once anyway) are never marked.
 #ifndef NALQ_REWRITE_INVARIANTS_H_
@@ -26,8 +35,8 @@
 
 namespace nalq::rewrite {
 
-/// Returns `plan` itself when its subscript algebra has nothing to mark,
-/// otherwise a marked clone (the input is never modified, so plans that
+/// Returns `plan` itself when its subscript algebra has nothing to mark or
+/// key, otherwise a marked clone (the input is never modified, so plans that
 /// share subtrees with it are unaffected). New ids start above every
 /// `cse_id` already in the plan.
 nal::AlgebraPtr ShareInvariantSubscripts(const nal::AlgebraPtr& plan);

@@ -191,5 +191,48 @@ TEST(ExtractEquiPredicateTest, NoEquiConjunctMeansNullopt) {
   EXPECT_FALSE(ExtractEquiPredicate(same_side, left, right).has_value());
 }
 
+TEST(ExtractEquiPredicateTest, TypedNumbersStayInTheResidual) {
+  SymbolSet left = {Symbol("l1"), Symbol("l2")};
+  SymbolSet right = {Symbol("r1"), Symbol("r2")};
+  ExprPtr typed = MakeCmp(CmpOp::kEq, MakeAttrRef(Symbol("l1")),
+                          MakeAttrRef(Symbol("r1")));
+  ExprPtr pred = MakeAnd(typed, MakeCmp(CmpOp::kEq, MakeAttrRef(Symbol("l2")),
+                                        MakeAttrRef(Symbol("r2"))));
+  auto equi = ExtractEquiPredicate(pred, left, right, {Symbol("r1")});
+  ASSERT_TRUE(equi.has_value());
+  EXPECT_EQ(equi->left_attrs, std::vector<Symbol>{Symbol("l2")});
+  EXPECT_EQ(equi->residual, typed);
+  EXPECT_FALSE(ExtractEquiPredicate(typed, left, right, {Symbol("l1")}));
+}
+
+TEST(TypedNumberAttrsTest, FollowsNumericBindings) {
+  ExprPtr doc = MakeFnCall("doc", {MakeConst(Value("bib.xml"))});
+  AlgebraPtr books = UnnestMap(
+      Symbol("b"), MakePath(doc, xml::Path::Parse("//book")), Singleton());
+  AlgebraPtr plan = Map(
+      Symbol("x"),
+      MakeFnCall("decimal", {MakePath(MakeAttrRef(Symbol("b")),
+                                      xml::Path::Parse("price"))}),
+      books);
+  plan = Map(Symbol("y"), MakeAttrRef(Symbol("x")), plan);
+  plan = Map(Symbol("s"),
+             MakeArith(ArithOp::kAdd, MakeConst(I(1)), MakeConst(I(2))), plan);
+  plan = Map(Symbol("t"), MakeFnCall("string", {MakeAttrRef(Symbol("x"))}),
+             plan);
+  plan = ProjectRename({{Symbol("z"), Symbol("y")}}, plan);
+  plan = GroupUnary(Symbol("n"), CmpOp::kEq, {Symbol("t")}, AggCount(), plan);
+  SymbolSet typed = TypedNumberAttrs(*plan);
+  for (const char* a : {"x", "y", "z", "s", "n"}) {
+    EXPECT_EQ(typed.count(Symbol(a)), 1u) << a;
+  }
+  for (const char* a : {"b", "t"}) EXPECT_EQ(typed.count(Symbol(a)), 0u) << a;
+  // Subscript algebra counts too: a group over typed numbers is typed.
+  AlgebraPtr outer = Map(Symbol("g"), MakeNestedAlg(plan), books->Clone());
+  EXPECT_EQ(TypedNumberAttrs(*outer).count(Symbol("g")), 1u);
+  AlgebraPtr paths = Map(Symbol("g"), MakeNestedAlg(books->Clone()),
+                         books->Clone());
+  EXPECT_TRUE(TypedNumberAttrs(*paths).empty());
+}
+
 }  // namespace
 }  // namespace nalq::nal

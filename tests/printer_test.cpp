@@ -73,6 +73,21 @@ TEST(PrinterTest, CseIdIsVisible) {
   EXPECT_NE(OpHeadline(*t).find("cse#3"), std::string::npos);
 }
 
+TEST(PrinterTest, KeyedProbeIsVisible) {
+  Sequence rows;
+  rows.Append(T({{"t1", I(1)}}));
+  AlgebraPtr entry = Table(rows);
+  entry->cse_id = 0;
+  AlgebraPtr select = Select(
+      MakeCmp(CmpOp::kEq, MakeAttrRef(Symbol("t1")),
+              MakeAttrRef(Symbol("t2"))),
+      entry);
+  EXPECT_EQ(OpHeadline(*select), "Select[t1 = t2]");
+  select->probe = {Symbol("t1"), Symbol("t2")};
+  EXPECT_EQ(OpHeadline(*select), "Select[t1 = t2] (probe cse#0 on t2)");
+  EXPECT_EQ(OpHeadline(*select->Clone()), OpHeadline(*select));
+}
+
 TEST(PrinterTest, ExprDebugStringsCoverNewKinds) {
   ExprPtr arith = MakeArith(ArithOp::kMul, MakeConst(I(2)), MakeConst(I(3)));
   EXPECT_EQ(arith->DebugString(), "(2 * 3)");

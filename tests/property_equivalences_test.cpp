@@ -8,6 +8,8 @@
 // comparison operators θ and aggregate functions f the paper allows.
 #include <gtest/gtest.h>
 
+#include "datagen/datagen.h"
+#include "engine/engine.h"
 #include "nal/printer.h"
 #include "test_util.h"
 #include "xml/store.h"
@@ -342,6 +344,74 @@ TEST_P(EquivalenceProperty, CountBugEmptyGroupsSurvive) {
   EXPECT_TRUE(SeqEq(l, r));
   ASSERT_EQ(l.size(), 2u);  // both outer rows survive
   EXPECT_EQ(l[1].Get(g).AsInt(), 0);  // ... with count 0 for the missing one
+}
+
+// --- Hash keys vs general comparison over typed numbers ------------------
+
+// x2 := decimal(...) is a typed number and p1 an untyped price node, so
+// general = compares them numerically ("12.50" = 12.5). A hash key on the
+// atomized values would see a double and a string and never match: joins
+// must leave the conjunct to their nested-loop residual, and the nest-join
+// must run its θ loop.
+class TypedNumberKeyTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    engine_.AddDocument("prices.xml", datagen::GeneratePrices(30));
+  }
+
+  /// Every alternative of `query`, on every executor and at budgets
+  /// {0, 64 KB}, returns the nested plan's bytes; returns those bytes.
+  std::string CheckAlternatives(const char* query, const char* rule) {
+    engine::CompiledQuery q = engine_.Compile(query);
+    EXPECT_NE(q.Find(rule), nullptr) << rule;
+    std::string expected =
+        engine_.Run(q.nested_plan, engine::ExecMode::kMaterializing).output;
+    for (const rewrite::Alternative& alt : q.alternatives) {
+      for (auto [mode, threads] :
+           {std::pair{engine::ExecMode::kMaterializing, 1u},
+            std::pair{engine::ExecMode::kStreaming, 1u},
+            std::pair{engine::ExecMode::kParallel, 2u}}) {
+        for (uint64_t budget : {uint64_t{0}, uint64_t{64 * 1024}}) {
+          EXPECT_EQ(engine_
+                        .Run(alt.plan, mode, engine::PathMode::kIndexed,
+                             threads, budget)
+                        .output,
+                    expected)
+              << alt.rule << " threads=" << threads << " budget=" << budget;
+        }
+      }
+    }
+    return expected;
+  }
+
+  engine::Engine engine_;
+};
+
+TEST_F(TypedNumberKeyTest, SemijoinAgreesWithTheNestedPlan) {
+  std::string expected = CheckAlternatives(R"(
+    let $d1 := doc("prices.xml")
+    for $p1 in $d1//book/price
+    where some $c2 in (for $b2 in $d1//book
+                       let $x2 := decimal($b2/price)
+                       return $x2)
+          satisfies $c2 = $p1
+    return <x>{ $p1 }</x>)",
+                                           "eqv6-semijoin");
+  EXPECT_EQ(expected.size(), 810u);
+}
+
+TEST_F(TypedNumberKeyTest, NestJoinAndOuterJoinAgreeWithTheNestedPlan) {
+  std::string expected = CheckAlternatives(R"(
+    let $d1 := doc("prices.xml")
+    for $p1 in $d1//book/price
+    let $m := (for $b2 in $d1//book
+               let $x2 := decimal($b2/price)
+               where $x2 = $p1
+               return $b2)
+    return <x>{ count($m) }</x>)",
+                                           "eqv1-nestjoin");
+  // Every price equals at least its own book's decimal.
+  EXPECT_EQ(expected.find("<x>0</x>"), std::string::npos) << expected;
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EquivalenceProperty,
